@@ -14,29 +14,16 @@ namespace p2paqp::core {
 
 namespace {
 
-// Mirrors two_phase.cc's total-aggregate normalizer (N for COUNT, the
-// all-tuples sum for SUM) for the error normalization.
-double EstimateTotal(const std::vector<PeerObservation>& observations,
-                     query::AggregateOp op, double total_weight) {
-  std::vector<WeightedObservation> totals;
-  totals.reserve(observations.size());
-  for (const PeerObservation& obs : observations) {
-    double value = op == query::AggregateOp::kSum
-                       ? obs.aggregate.total_sum_value
-                       : static_cast<double>(obs.aggregate.local_tuples);
-    totals.push_back({value, obs.stationary_weight});
-  }
-  return HorvitzThompson(totals, total_weight);
-}
-
-std::vector<WeightedObservation> ToWeighted(
-    const std::vector<PeerObservation>& observations, query::AggregateOp op) {
-  std::vector<WeightedObservation> weighted;
-  weighted.reserve(observations.size());
-  for (const PeerObservation& obs : observations) {
-    weighted.push_back({obs.aggregate.ValueFor(op), obs.stationary_weight});
-  }
-  return weighted;
+// Winsorized EWMA step feeding the adaptive budgets: a single straggler
+// observation must not drag the budget up to straggler scale, so a sample
+// is clamped to 8x the running mean before folding in. The first sample
+// seeds the mean.
+void FoldWinsorized(double* mean, size_t* samples, double x) {
+  const double clamped = *samples > 0 && x > 8.0 * *mean ? 8.0 * *mean : x;
+  *mean = *samples == 0 ? clamped
+                        : (1.0 - net::kHealthEwmaAlpha) * *mean +
+                              net::kHealthEwmaAlpha * clamped;
+  ++*samples;
 }
 
 // One in-flight phase. Stack-local to RunPhase: every queued event resolves
@@ -58,8 +45,7 @@ class PhaseRuntime final : public net::StepHandler {
                graph::NodeId sink, size_t count, util::Rng& rng,
                net::HistoryRecorder* history, uint64_t dedup_round,
                AsyncHotBuffers& buffers,
-               std::vector<PeerObservation>& observations, double deadline_ms,
-               size_t* retry_budget)
+               std::vector<PeerObservation>& observations, double deadline_ms)
       : network_(network),
         params_(params),
         events_(events),
@@ -71,7 +57,6 @@ class PhaseRuntime final : public net::StepHandler {
         buf_(buffers),
         observations_(observations),
         deadline_(deadline_ms),
-        retry_budget_(retry_budget),
         hops_left_(100 * (params.walk.burn_in * params.walkers +
                           count * params.walk.jump) +
                    1000),
@@ -197,7 +182,7 @@ class PhaseRuntime final : public net::StepHandler {
         const double tail_ms = network_->DrawPeerTailDelay(next, rng_);
         const double transit = network_->DrawHopLatency() + tail_ms;
         const double budget = HopBudgetMs();
-        ObserveHop(transit);
+        FoldWinsorized(&hop_ewma_, &hop_samples_, transit);
         if (transit > budget && neighbors.size() > 1) {
           ForkPastStraggler(w, holder, next, /*token_sent=*/true, transit,
                             /*wait_ms=*/budget, selection_due);
@@ -235,7 +220,7 @@ class PhaseRuntime final : public net::StepHandler {
             const double transit = network_->DrawHopLatency() + tail_ms;
             if (sp.health_tracking) {
               buf_.health.Record(next, transit, true);
-              ObserveHop(transit);
+              FoldWinsorized(&hop_ewma_, &hop_samples_, transit);
             }
             events_.ScheduleStepAfter(transit, this, w);
           } else {
@@ -344,24 +329,13 @@ class PhaseRuntime final : public net::StepHandler {
     }
   }
 
-  // Spends one unit of the query-scoped retry/hedge budget; false when
-  // exhausted (SIZE_MAX = unlimited, the no-policy default).
-  bool ConsumeRetry() {
-    if (*retry_budget_ == 0) return false;
-    if (*retry_budget_ != SIZE_MAX) --*retry_budget_;
-    return true;
-  }
-
   // Adaptive Walk-Not-Wait hop budget: a multiple of the EWMA hop transit,
   // floored so a quiet network cannot shrink it below ~2 nominal hops.
   // Infinite until a few hops have been observed (never fork blind).
   double HopBudgetMs() const {
     if (hop_samples_ < 3) return std::numeric_limits<double>::infinity();
-    const net::StragglerPolicy& sp = params_.engine.straggler;
-    double budget = sp.hop_budget_factor * hop_ewma_;
-    double floor = sp.hop_budget_floor_ms > 0.0
-                       ? sp.hop_budget_floor_ms
-                       : 2.0 * network_->NominalHopLatencyMs();
+    double budget = net::kHopBudgetFactor * hop_ewma_;
+    double floor = net::kHopBudgetFloorHops * network_->NominalHopLatencyMs();
     return budget < floor ? floor : budget;
   }
 
@@ -369,34 +343,9 @@ class PhaseRuntime final : public net::StepHandler {
   // reply latency gets one duplicate. Infinite until warmed up.
   double HedgeDueMs() const {
     if (reply_samples_ < 3) return std::numeric_limits<double>::infinity();
-    const net::StragglerPolicy& sp = params_.engine.straggler;
-    double due = sp.hedge_delay_factor * reply_ewma_;
+    double due = net::kHedgeDelayFactor * reply_ewma_;
     double floor = network_->NominalHopLatencyMs();
     return due < floor ? floor : due;
-  }
-
-  // Winsorized EWMAs feeding the adaptive budgets: a single straggler
-  // observation must not drag the budget up to straggler scale, so samples
-  // are clamped to 8x the running mean before folding in.
-  void ObserveHop(double transit_ms) {
-    const double alpha = params_.engine.straggler.ewma_alpha;
-    double clamped = hop_samples_ > 0 && transit_ms > 8.0 * hop_ewma_
-                         ? 8.0 * hop_ewma_
-                         : transit_ms;
-    hop_ewma_ = hop_samples_ == 0 ? clamped
-                                  : (1.0 - alpha) * hop_ewma_ + alpha * clamped;
-    ++hop_samples_;
-  }
-
-  void ObserveReply(double delay_ms) {
-    const double alpha = params_.engine.straggler.ewma_alpha;
-    double clamped = reply_samples_ > 0 && delay_ms > 8.0 * reply_ewma_
-                         ? 8.0 * reply_ewma_
-                         : delay_ms;
-    reply_ewma_ = reply_samples_ == 0
-                      ? clamped
-                      : (1.0 - alpha) * reply_ewma_ + alpha * clamped;
-    ++reply_samples_;
   }
 
   // One selected peer: scan locally (scan-time delay), then the reply races
@@ -433,7 +382,6 @@ class PhaseRuntime final : public net::StepHandler {
     for (size_t attempt = 0; attempt <= params_.engine.reply_retransmits;
          ++attempt) {
       if (attempt > 0) {
-        if (!ConsumeRetry()) break;
         ++retransmits;
         double wait = net::RetryBackoffMs(sp, attempt, rng_);
         if (wait > 0.0) {
@@ -458,7 +406,7 @@ class PhaseRuntime final : public net::StepHandler {
     }
     if (sp.health_tracking) buf_.health.Record(peer, delay, delivered);
     if (delivered) {
-      ObserveReply(delay);
+      FoldWinsorized(&reply_ewma_, &reply_samples_, delay);
       DeliverReply(obs, delay);
       // Hedged retransmit: the sink's hedge timer fires before a straggling
       // primary can arrive, so one duplicate copy goes out; whichever copy
@@ -467,7 +415,7 @@ class PhaseRuntime final : public net::StepHandler {
       // bias-free — only the delivery race changes.
       if (sp.hedged_replies) {
         const double hedge_due = HedgeDueMs();
-        if (delay > hedge_due && ConsumeRetry()) {
+        if (delay > hedge_due) {
           ++hedges;
           if (history_ != nullptr) {
             const uint64_t tag =
@@ -595,7 +543,6 @@ class PhaseRuntime final : public net::StepHandler {
   AsyncHotBuffers& buf_;
   std::vector<PeerObservation>& observations_;
   const double deadline_;  // Absolute event-clock instant; +inf = none.
-  size_t* retry_budget_;   // Query-scoped; shared across both phases.
   size_t hops_left_;       // Global hop budget across all walkers.
   size_t restarts_left_;   // Global token-restart budget.
   size_t active_walkers_ = 0;
@@ -625,7 +572,7 @@ util::Result<std::vector<PeerObservation>> AsyncQuerySession::RunPhase(
     net::EventQueue& events, const query::AggregateQuery& query,
     graph::NodeId sink, size_t count, util::Rng& rng,
     TwoPhaseEngine::CollectionStats* stats, uint64_t* drain_allocs,
-    double deadline_ms, size_t* retry_budget, double* elapsed_ms) {
+    double deadline_ms) {
   net::HistoryRecorder* history = network_->history();
   const uint64_t dedup_round = history != nullptr ? history->NextRound() : 0;
   // The queue's clock is monotone across phases (a fresh phase starts where
@@ -668,7 +615,7 @@ util::Result<std::vector<PeerObservation>> AsyncQuerySession::RunPhase(
 
   PhaseRuntime runtime(network_, params_, events, query, sink, count, rng,
                        history, dedup_round, buffers_, observations,
-                       deadline_abs, retry_budget);
+                       deadline_abs);
   runtime.Launch(count);
 
   // Mid-query churn rides the same event clock, stepping while the phase
@@ -683,41 +630,33 @@ util::Result<std::vector<PeerObservation>> AsyncQuerySession::RunPhase(
   events.RunUntilEmpty();
   if (drain_allocs != nullptr) *drain_allocs += alloc_guard.allocations();
 
-  if (elapsed_ms != nullptr) {
-    // A deadline-curtailed phase answers exactly when its budget runs out;
-    // otherwise the clock stops at the last needed arrival, not at the
-    // post-answer drain of losing duplicate copies.
-    *elapsed_ms = runtime.deadline_hit
-                      ? deadline_ms
-                      : std::max(runtime.done_ms, phase_start) - phase_start;
-  }
-
   const size_t delivered = observations.size();
-  const auto quorum = static_cast<size_t>(
-      std::ceil(params_.engine.min_observation_quorum *
-                static_cast<double>(count)));
   // A deadline-curtailed phase waives the quorum: the caller returns an
   // anytime answer with a widened CI instead of failing the query.
-  if (count > 0 && delivered < quorum && !runtime.deadline_hit &&
+  if (count > 0 && delivered < ObservationQuorum(params_.engine, count) &&
+      !runtime.deadline_hit &&
       !util::BugArmed(util::InjectedBug::kSkipQuorumCheck)) {
     return util::Status::Unavailable(
         "async observation quorum not met: " + std::to_string(delivered) +
         "/" + std::to_string(count) + " delivered");
   }
-  if (stats != nullptr) {
-    stats->requested = count;
-    stats->delivered = delivered;
-    stats->lost = count - delivered;
-    stats->reply_retransmits = runtime.retransmits;
-    stats->walk_restarts = runtime.restarts;
-    stats->duplicate_replies = runtime.duplicates;
-    stats->hedges = runtime.hedges;
-    stats->straggler_skips = runtime.straggler_skips;
-    stats->deadline_hit = runtime.deadline_hit;
-  }
-  return std::move(observations);
+  stats->requested = count;
+  stats->delivered = delivered;
+  stats->lost = count - delivered;
+  stats->reply_retransmits = runtime.retransmits;
+  stats->walk_restarts = runtime.restarts;
+  stats->duplicate_replies = runtime.duplicates;
+  stats->hedges = runtime.hedges;
+  stats->straggler_skips = runtime.straggler_skips;
+  stats->deadline_hit = runtime.deadline_hit;
+  // A deadline-curtailed phase answers exactly when its budget runs out;
+  // otherwise the clock stops at the last needed arrival, not at the
+  // post-answer drain of losing duplicate copies.
+  stats->elapsed_ms = runtime.deadline_hit
+                          ? deadline_ms
+                          : std::max(runtime.done_ms, phase_start) - phase_start;
+  return observations;
 }
-
 
 util::Result<AsyncQueryReport> AsyncQuerySession::Execute(
     const query::AggregateQuery& query, graph::NodeId sink, util::Rng& rng) {
@@ -729,174 +668,49 @@ util::Result<AsyncQueryReport> AsyncQuerySession::Execute(
   if (sink >= network_->num_peers() || !network_->IsAlive(sink)) {
     return util::Status::FailedPrecondition("sink peer is not live");
   }
-  net::CostSnapshot before = network_->cost_snapshot();
   net::EventQueue events;
   uint64_t drain_allocs = 0;
-
-  const net::StragglerPolicy& sp = params_.engine.straggler;
   const double deadline =
       params_.engine.deadline_ms > 0.0
           ? params_.engine.deadline_ms
           : std::numeric_limits<double>::infinity();
-  // Retry/hedge allowance is query-scoped: both phases draw from one pot.
-  size_t retry_budget = sp.retry_budget == 0 ? SIZE_MAX : sp.retry_budget;
-  if (sp.health_tracking) {
+  if (params_.engine.straggler.health_tracking) {
     // Reset allocates (flat per-peer arrays), so it happens here — per
     // query, before any phase drains — keeping Record()/Tripped() free
     // inside the measured event loops. Phase II inherits phase I's scores.
-    buffers_.health.Configure(sp);
     buffers_.health.Reset(network_->num_peers());
   }
 
-  // ---- Phase I ----
-  TwoPhaseEngine::CollectionStats phase1_stats;
-  double phase1_elapsed = 0.0;
-  double phase2_elapsed = 0.0;
-  auto phase1 = RunPhase(events, query, sink, params_.engine.phase1_peers,
-                         rng, &phase1_stats, &drain_allocs, deadline,
-                         &retry_budget, &phase1_elapsed);
-  if (!phase1.ok()) return phase1.status();
-
-  double total_weight = catalog_.total_degree_weight();
-  TwoPhaseEngine::CollectionStats phase2_stats;
-  std::vector<PeerObservation> phase2_set;
-  double estimated_total = 0.0;
-  double cv_normalized = 0.0;
-  if (phase1->size() >= 2) {
-    CrossValidationResult cv = CrossValidate(ToWeighted(*phase1, query.op),
-                                             total_weight,
-                                             params_.engine.cv_repeats, rng);
-    estimated_total = EstimateTotal(*phase1, query.op, total_weight);
-    if (estimated_total <= 0.0 ||
-        params_.engine.normalization == ErrorNormalization::kQueryAnswer) {
-      estimated_total = std::fabs(cv.estimate);
-    }
-    cv_normalized =
-        estimated_total == 0.0 ? 0.0 : cv.cv_error / estimated_total;
-    // Sized from the observations that actually arrived (== phase1_peers on
-    // the fault-free path): the cross-validation error was measured on
-    // those.
-    size_t phase2_peers = PhaseTwoSampleSize(
-        phase1->size(), cv_normalized, query.required_error,
-        params_.engine.min_phase2_peers,
-        params_.engine.max_phase2_peers == 0
-            ? network_->num_peers()
-            : params_.engine.max_phase2_peers);
-
-    // ---- Phase II ----
-    if (phase1_elapsed >= deadline) {
-      // Phase I consumed the whole deadline: phase II never launches and
-      // its entire request counts as lost.
-      phase2_stats.requested = phase2_peers;
-      phase2_stats.lost = phase2_peers;
-      phase2_stats.deadline_hit = true;
-    } else {
-      // Phase II inherits whatever deadline budget phase I left over.
-      const double remaining = std::isfinite(deadline)
-                                   ? deadline - phase1_elapsed
-                                   : deadline;
-      auto phase2 = RunPhase(events, query, sink, phase2_peers, rng,
-                             &phase2_stats, &drain_allocs, remaining,
-                             &retry_budget, &phase2_elapsed);
-      if (!phase2.ok()) return phase2.status();
-      phase2_set = std::move(*phase2);
-    }
-  } else if (!phase1_stats.deadline_hit) {
-    return util::Status::Unavailable(
-        "phase I delivered too few observations to cross-validate");
-  }
-  // (Fewer than 2 phase-I observations under a deadline: fall through and
-  // answer anytime from whatever phase I scraped together.)
-
-  const bool anytime = phase1_stats.deadline_hit || phase2_stats.deadline_hit;
-  std::vector<PeerObservation> final_set;
-  if (params_.engine.include_phase1_observations || anytime) {
-    // An anytime answer uses every observation that reached the sink.
-    final_set = *phase1;
-    final_set.insert(final_set.end(), phase2_set.begin(), phase2_set.end());
-  } else {
-    final_set = phase2_set;
-  }
-
-  // Byzantine defenses, mirroring the synchronous engine.
-  const RobustnessPolicy& policy = params_.engine.robustness;
-  size_t suspected =
-      AuditObservationDegrees(network_, policy, sink, &final_set, rng);
-  if (final_set.empty() && !anytime) {
-    return util::Status::Unavailable(
-        "degree audit rejected every observation");
-  }
-  auto weighted = ToWeighted(final_set, query.op);
+  // Per-phase event-clock time; a phase the deadline skipped stays 0.
+  double phase_elapsed[2] = {0.0, 0.0};
+  size_t phase = 0;
+  auto answer = RunTwoPhasePlan(
+      PlanContext{network_, params_.engine, sink,
+                  catalog_.total_degree_weight()},
+      query, deadline, rng,
+      [&](size_t count, double deadline_ms,
+          TwoPhaseEngine::CollectionStats* stats) {
+        auto got = RunPhase(events, query, sink, count, rng, stats,
+                            &drain_allocs, deadline_ms);
+        phase_elapsed[phase++] = stats->elapsed_ms;
+        return got;
+      });
+  if (!answer.ok()) return answer.status();
 
   AsyncQueryReport report;
-  report.answer.suspected_peers = suspected;
-  if (weighted.empty()) {
-    // Deadline fired before a single observation survived: the anytime
-    // answer is a zero estimate with maximal degradation, never an error.
-    report.answer.estimate = 0.0;
-    report.answer.variance = 0.0;
-  } else if (policy.enabled()) {
-    RobustEstimate robust =
-        RobustHorvitzThompson(weighted, total_weight, policy);
-    report.answer.estimate = robust.estimate;
-    report.answer.variance = robust.variance;
-    report.answer.trimmed_mass = robust.trimmed_mass;
-  } else {
-    report.answer.estimate = HorvitzThompson(weighted, total_weight);
-    report.answer.variance = HorvitzThompsonVariance(weighted, total_weight);
-  }
-  // Degradation accounting mirrors the synchronous engine: reweight over
-  // the survivors, widen the CI by the root of the loss ratio.
-  report.answer.observations_lost = phase1_stats.lost + phase2_stats.lost;
-  report.answer.walk_restarts =
-      phase1_stats.walk_restarts + phase2_stats.walk_restarts;
-  report.answer.duplicate_replies =
-      phase1_stats.duplicate_replies + phase2_stats.duplicate_replies;
-  report.answer.deadline_hit = anytime;
-  report.answer.hedges_sent = phase1_stats.hedges + phase2_stats.hedges;
-  report.answer.stragglers_skipped =
-      phase1_stats.straggler_skips + phase2_stats.straggler_skips;
-  report.answer.degraded = report.answer.observations_lost > 0 ||
-                           suspected > 0 ||
-                           report.answer.trimmed_mass > 0.0 || anytime;
-  double inflation = 1.0;
-  if (report.answer.observations_lost > 0) {
-    size_t requested = phase1_stats.requested + phase2_stats.requested;
-    size_t arrived = phase1_stats.delivered + phase2_stats.delivered;
-    inflation = std::sqrt(static_cast<double>(requested) /
-                          static_cast<double>(std::max<size_t>(arrived, 1)));
-  }
-  double discarded = std::min(report.answer.trimmed_mass, 0.9);
-  if (discarded > 0.0) inflation *= std::sqrt(1.0 / (1.0 - discarded));
-  report.answer.ci_half_width_95 =
-      1.959963984540054 * std::sqrt(report.answer.variance) * inflation;
-  report.answer.estimated_total = estimated_total;
-  report.answer.cv_error_relative = cv_normalized;
-  double denom = estimated_total > 0.0 ? estimated_total
-                                       : std::fabs(report.answer.estimate);
-  report.answer.achieved_error =
-      denom > 0.0 ? report.answer.ci_half_width_95 / denom : 0.0;
-  if (anytime && final_set.size() < 2) {
-    // No usable spread: an anytime answer built from 0-1 observations has
-    // no defensible CI, so report total relative error instead of a
-    // spuriously perfect one.
-    report.answer.achieved_error = 1.0;
-  }
-  report.answer.phase1_peers = phase1->size();
-  report.answer.phase2_peers = phase2_set.size();
-  report.answer.cost = net::CostDelta(network_->cost_snapshot(), before);
-  report.answer.sample_tuples = report.answer.cost.tuples_sampled;
+  report.answer = std::move(*answer);
   // The event clock, not the sequential sum, is the real latency — measured
   // per phase up to the last arrival the sink needed. Losing hedge copies
   // and deduped replays drain after the answer is ready (keeping the arena
   // and ledger balanced) without counting as waiting, and an anytime answer
   // is produced *at* the deadline.
-  const double total_elapsed = phase1_elapsed + phase2_elapsed;
-  const double end_ms =
-      anytime ? std::min(total_elapsed, deadline) : total_elapsed;
+  const double total_elapsed = phase_elapsed[0] + phase_elapsed[1];
+  const double end_ms = report.answer.deadline_hit
+                            ? std::min(total_elapsed, deadline)
+                            : total_elapsed;
   report.answer.cost.latency_ms = end_ms;
   report.makespan_ms = end_ms;
-  report.phase1_done_ms = std::min(phase1_elapsed, end_ms);
+  report.phase1_done_ms = std::min(phase_elapsed[0], end_ms);
   report.events = events.executed();
   report.drain_allocs = drain_allocs;
   return report;

@@ -111,9 +111,8 @@ util::Result<ApproximateAnswer> EstimateDistinctTwoPhase(
   double cv_rel = full_estimate == 0.0 ? 0.0 : cv_error / full_estimate;
 
   size_t phase2_peers = PhaseTwoSampleSize(
-      m, cv_rel, query.required_error, engine.params().min_phase2_peers,
-      engine.params().max_phase2_peers == 0 ? network->num_peers()
-                                            : engine.params().max_phase2_peers);
+      m, cv_rel, query.required_error, kMinPhase2Peers,
+      MaxPhase2Peers(engine.params(), network->num_peers()));
 
   auto phase2 = CollectRawSamples(engine, query, sink, phase2_peers, rng);
   if (!phase2.ok()) return phase2.status();

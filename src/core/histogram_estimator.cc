@@ -115,9 +115,8 @@ util::Result<HistogramAnswer> EstimateHistogramTwoPhase(
       std::sqrt(squared_sum / static_cast<double>(engine.params().cv_repeats));
 
   size_t phase2_peers = PhaseTwoSampleSize(
-      m, cv_l1, request.required_l1, engine.params().min_phase2_peers,
-      engine.params().max_phase2_peers == 0 ? network->num_peers()
-                                            : engine.params().max_phase2_peers);
+      m, cv_l1, request.required_l1, kMinPhase2Peers,
+      MaxPhase2Peers(engine.params(), network->num_peers()));
 
   auto phase2 = CollectSamples(engine, request, sink, phase2_peers, rng);
   if (!phase2.ok()) return phase2.status();

@@ -114,9 +114,8 @@ util::Result<ApproximateAnswer> EstimateQuantileTwoPhase(
   // ---- Step 6: size phase II. Rank error and required_error share the
   // [0,1] scale, so the COUNT sizing rule carries over. ----
   size_t phase2_peers = PhaseTwoSampleSize(
-      m, cv_rank_error, query.required_error, engine.params().min_phase2_peers,
-      engine.params().max_phase2_peers == 0 ? network->num_peers()
-                                            : engine.params().max_phase2_peers);
+      m, cv_rank_error, query.required_error, kMinPhase2Peers,
+      MaxPhase2Peers(engine.params(), network->num_peers()));
 
   // ---- Step 7: weighted median of the additional peers' medians. ----
   auto phase2 = engine.CollectObservations(query, sink, phase2_peers, rng);

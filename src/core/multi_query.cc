@@ -1,62 +1,18 @@
 #include "core/multi_query.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
-#include "core/cross_validation.h"
-#include "core/estimator.h"
-#include "core/robust_estimator.h"
 #include "query/local_executor.h"
 #include "util/bug_injection.h"
 
 namespace p2paqp::core {
 
-namespace {
-
-constexpr double kZ95 = 1.959963984540054;
-
-std::vector<WeightedObservation> ToWeighted(
-    const std::vector<PeerObservation>& observations, query::AggregateOp op) {
-  std::vector<WeightedObservation> weighted;
-  weighted.reserve(observations.size());
-  for (const PeerObservation& obs : observations) {
-    weighted.push_back({obs.aggregate.ValueFor(op), obs.stationary_weight});
-  }
-  return weighted;
-}
-
-// Horvitz-Thompson estimate of the total aggregate over the database (tuple
-// count for COUNT, all-tuples sum for SUM); error-normalization only.
-double EstimateTotal(const std::vector<PeerObservation>& observations,
-                     query::AggregateOp op, double total_weight) {
-  std::vector<WeightedObservation> totals;
-  totals.reserve(observations.size());
-  for (const PeerObservation& obs : observations) {
-    double value = op == query::AggregateOp::kSum
-                       ? obs.aggregate.total_sum_value
-                       : static_cast<double>(obs.aggregate.local_tuples);
-    totals.push_back({value, obs.stationary_weight});
-  }
-  return HorvitzThompson(totals, total_weight);
-}
-
-size_t Quorum(double fraction, size_t requested) {
-  return static_cast<size_t>(
-      std::ceil(fraction * static_cast<double>(requested)));
-}
-
-}  // namespace
-
 struct QueryScheduler::QueryState {
   const query::AggregateQuery* query = nullptr;
-  std::vector<PeerObservation> phase1;
-  std::vector<PeerObservation> phase2;
-  TwoPhaseEngine::CollectionStats s1;
-  TwoPhaseEngine::CollectionStats s2;
-  size_t phase2_needed = 0;
-  double cv_normalized = 0.0;
-  double estimated_total = 0.0;
+  CollectedPhase phase1;
+  CollectedPhase phase2;
+  PhaseTwoPlan plan;
   bool failed = false;
   util::Status failure = util::Status::Ok();
 
@@ -155,7 +111,7 @@ void QueryScheduler::CollectRange(std::vector<QueryState>& states,
     active.clear();
     for (size_t q = 0; q < states.size(); ++q) {
       if (states[q].failed) continue;
-      if (phase2 && offset >= states[q].phase2_needed) continue;
+      if (phase2 && offset >= states[q].plan.phase2_peers) continue;
       active.push_back(q);
     }
     if (active.empty()) break;  // Offsets only grow; nobody needs the rest.
@@ -206,9 +162,8 @@ void QueryScheduler::CollectRange(std::vector<QueryState>& states,
     for (size_t attempt = 0; attempt <= retransmits; ++attempt) {
       if (attempt > 0) {
         for (size_t q : active) {
-          TwoPhaseEngine::CollectionStats& s =
-              phase2 ? states[q].s2 : states[q].s1;
-          ++s.reply_retransmits;
+          ++(phase2 ? states[q].phase2 : states[q].phase1)
+                .stats.reply_retransmits;
         }
         // One timeout/retransmit pair per wire message, not per
         // multiplexed query: the batched reply is lost (and re-sent)
@@ -234,7 +189,8 @@ void QueryScheduler::CollectRange(std::vector<QueryState>& states,
     if (!delivered) continue;
     for (size_t i = 0; i < active.size(); ++i) {
       QueryState& state = states[active[i]];
-      (phase2 ? state.phase2 : state.phase1).push_back(pending[i]);
+      (phase2 ? state.phase2 : state.phase1)
+          .observations.push_back(pending[i]);
     }
   }
 }
@@ -267,8 +223,8 @@ BatchResult QueryScheduler::ExecuteBatch(
     }
   }
 
+  const PlanContext ctx{network_, params_.engine, sink, total_weight_};
   const size_t m = params_.engine.phase1_peers;
-  const double quorum_fraction = params_.engine.min_observation_quorum;
   size_t live = 0;
   for (const QueryState& state : states) live += state.failed ? 0 : 1;
 
@@ -282,18 +238,19 @@ BatchResult QueryScheduler::ExecuteBatch(
       }
     } else {
       for (QueryState& state : states) {
-        if (!state.failed) state.s1.requested = m;
+        if (!state.failed) state.phase1.stats.requested = m;
       }
       CollectRange(states, 0, m, sink, /*phase2=*/false, rng);
       for (QueryState& state : states) {
         if (state.failed) continue;
-        state.s1.delivered = state.phase1.size();
-        state.s1.lost = state.s1.requested - state.s1.delivered;
-        if (state.s1.delivered < Quorum(quorum_fraction, state.s1.requested) &&
+        TwoPhaseEngine::CollectionStats& s1 = state.phase1.stats;
+        s1.delivered = state.phase1.observations.size();
+        s1.lost = s1.requested - s1.delivered;
+        if (s1.delivered < ObservationQuorum(params_.engine, s1.requested) &&
             !util::BugArmed(util::InjectedBug::kSkipQuorumCheck)) {
           state.Fail(util::Status::Unavailable(
               "observation quorum not met in phase I"));
-        } else if (state.phase1.size() < 2) {
+        } else if (s1.delivered < 2) {
           state.Fail(util::Status::Unavailable(
               "phase I delivered too few observations to cross-validate"));
         }
@@ -302,29 +259,12 @@ BatchResult QueryScheduler::ExecuteBatch(
   }
 
   // ---- Per-query cross-validation sizing (paper Sec. 3.4). ----
-  const size_t max_phase2 = params_.engine.max_phase2_peers == 0
-                                ? network_->num_peers()
-                                : params_.engine.max_phase2_peers;
   size_t widest_plan = 0;
   for (QueryState& state : states) {
     if (state.failed) continue;
-    CrossValidationResult cv =
-        CrossValidate(ToWeighted(state.phase1, state.query->op), total_weight_,
-                      params_.engine.cv_repeats, rng);
-    state.estimated_total =
-        EstimateTotal(state.phase1, state.query->op, total_weight_);
-    if (state.estimated_total <= 0.0 ||
-        params_.engine.normalization == ErrorNormalization::kQueryAnswer) {
-      state.estimated_total = std::fabs(cv.estimate);
-    }
-    state.cv_normalized = state.estimated_total == 0.0
-                              ? 0.0
-                              : cv.cv_error / state.estimated_total;
-    state.phase2_needed = PhaseTwoSampleSize(
-        state.phase1.size(), state.cv_normalized,
-        state.query->required_error, params_.engine.min_phase2_peers,
-        max_phase2);
-    widest_plan = std::max(widest_plan, state.phase2_needed);
+    state.plan =
+        PlanPhaseTwo(ctx, *state.query, state.phase1.observations, rng);
+    widest_plan = std::max(widest_plan, state.plan.phase2_peers);
   }
 
   if (widest_plan > 0) {
@@ -341,14 +281,17 @@ BatchResult QueryScheduler::ExecuteBatch(
       }
     } else {
       for (QueryState& state : states) {
-        if (!state.failed) state.s2.requested = state.phase2_needed;
+        if (!state.failed) {
+          state.phase2.stats.requested = state.plan.phase2_peers;
+        }
       }
       CollectRange(states, m, m + widest_plan, sink, /*phase2=*/true, rng);
       for (QueryState& state : states) {
         if (state.failed) continue;
-        state.s2.delivered = state.phase2.size();
-        state.s2.lost = state.s2.requested - state.s2.delivered;
-        if (state.s2.delivered < Quorum(quorum_fraction, state.s2.requested) &&
+        TwoPhaseEngine::CollectionStats& s2 = state.phase2.stats;
+        s2.delivered = state.phase2.observations.size();
+        s2.lost = s2.requested - s2.delivered;
+        if (s2.delivered < ObservationQuorum(params_.engine, s2.requested) &&
             !util::BugArmed(util::InjectedBug::kSkipQuorumCheck)) {
           state.Fail(util::Status::Unavailable(
               "observation quorum not met in phase II"));
@@ -356,67 +299,16 @@ BatchResult QueryScheduler::ExecuteBatch(
       }
     }
   }
-  // ---- Per-query estimation epilogue (mirrors ExecuteCentral). ----
-  const RobustnessPolicy& policy = params_.engine.robustness;
+  // ---- Per-query answers. Per-query cost stays zero: the batched
+  // walk/reply work is shared and indivisible, so BatchResult::cost
+  // carries the whole batch. ----
   for (QueryState& state : states) {
     if (state.failed) {
       result.answers.emplace_back(state.failure);
       continue;
     }
-    std::vector<PeerObservation> final_set;
-    if (params_.engine.include_phase1_observations) {
-      final_set = state.phase1;
-      final_set.insert(final_set.end(), state.phase2.begin(),
-                       state.phase2.end());
-    } else {
-      final_set = state.phase2;
-    }
-    size_t suspected =
-        AuditObservationDegrees(network_, policy, sink, &final_set, rng);
-    if (final_set.empty()) {
-      result.answers.emplace_back(util::Status::Unavailable(
-          "degree audit rejected every observation"));
-      continue;
-    }
-    ApproximateAnswer answer;
-    answer.suspected_peers = suspected;
-    auto weighted = ToWeighted(final_set, state.query->op);
-    if (policy.enabled()) {
-      RobustEstimate robust =
-          RobustHorvitzThompson(weighted, total_weight_, policy);
-      answer.estimate = robust.estimate;
-      answer.variance = robust.variance;
-      answer.trimmed_mass = robust.trimmed_mass;
-    } else {
-      answer.estimate = HorvitzThompson(weighted, total_weight_);
-      answer.variance = HorvitzThompsonVariance(weighted, total_weight_);
-    }
-    answer.observations_lost = state.s1.lost + state.s2.lost;
-    answer.walk_restarts = state.s1.walk_restarts + state.s2.walk_restarts;
-    answer.degraded = answer.observations_lost > 0 || suspected > 0 ||
-                      answer.trimmed_mass > 0.0;
-    double inflation = 1.0;
-    if (answer.observations_lost > 0) {
-      size_t requested = state.s1.requested + state.s2.requested;
-      size_t arrived = state.s1.delivered + state.s2.delivered;
-      inflation =
-          std::sqrt(static_cast<double>(requested) /
-                    static_cast<double>(std::max<size_t>(arrived, 1)));
-    }
-    double discarded = std::min(answer.trimmed_mass, 0.9);
-    if (discarded > 0.0) inflation *= std::sqrt(1.0 / (1.0 - discarded));
-    answer.ci_half_width_95 = kZ95 * std::sqrt(answer.variance) * inflation;
-    answer.estimated_total = state.estimated_total;
-    answer.cv_error_relative = state.cv_normalized;
-    answer.phase1_peers = state.phase1.size();
-    answer.phase2_peers = state.phase2.size();
-    double denom = state.estimated_total > 0.0 ? state.estimated_total
-                                               : std::fabs(answer.estimate);
-    answer.achieved_error =
-        denom > 0.0 ? answer.ci_half_width_95 / denom : 0.0;
-    // Per-query cost stays zero: the batched walk/reply work is shared and
-    // indivisible. BatchResult::cost carries the whole batch.
-    result.answers.emplace_back(std::move(answer));
+    result.answers.push_back(AssembleAnswer(ctx, state.query->op, state.plan,
+                                            state.phase1, state.phase2, rng));
   }
 
   result.cost = net::CostDelta(network_->cost_snapshot(), before);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "core/distinct.h"
@@ -65,6 +66,16 @@ CrossValidationResult CrossValidateRatio(
       result.estimate == 0.0 ? 0.0
                              : result.cv_error / std::fabs(result.estimate);
   return result;
+}
+
+std::vector<WeightedObservation> ToWeighted(
+    const std::vector<PeerObservation>& observations, query::AggregateOp op) {
+  std::vector<WeightedObservation> weighted;
+  weighted.reserve(observations.size());
+  for (const PeerObservation& obs : observations) {
+    weighted.push_back({obs.aggregate.ValueFor(op), obs.stationary_weight});
+  }
+  return weighted;
 }
 
 // Horvitz-Thompson estimate of the total aggregate over the database:
@@ -257,25 +268,11 @@ TwoPhaseEngine::TwoPhaseEngine(net::SimulatedNetwork* network,
   P2PAQP_CHECK_GE(params_.phase1_peers, 2u);
 }
 
-size_t TwoPhaseEngine::MaxPhase2Peers() const {
-  return params_.max_phase2_peers == 0 ? network_->num_peers()
-                                       : params_.max_phase2_peers;
-}
-
 util::Result<std::vector<PeerObservation>>
 TwoPhaseEngine::CollectObservations(const query::AggregateQuery& query,
                                     graph::NodeId sink, size_t count,
-                                    util::Rng& rng, CollectionStats* stats,
-                                    size_t* retry_budget_left) {
+                                    util::Rng& rng, CollectionStats* stats) {
   const net::StragglerPolicy& sp = params_.straggler;
-  size_t local_budget = sp.retry_budget == 0 ? SIZE_MAX : sp.retry_budget;
-  size_t* budget =
-      retry_budget_left != nullptr ? retry_budget_left : &local_budget;
-  auto consume_retry = [budget]() {
-    if (*budget == 0) return false;
-    if (*budget != SIZE_MAX) --*budget;
-    return true;
-  };
   auto sampled = sampler_->SamplePeersResilient(sink, count, rng);
   if (!sampled.ok()) return sampled.status();
   std::vector<PeerObservation> observations;
@@ -325,7 +322,6 @@ TwoPhaseEngine::CollectObservations(const query::AggregateQuery& query,
     bool delivered = false;
     for (size_t attempt = 0; attempt <= params_.reply_retransmits; ++attempt) {
       if (attempt > 0) {
-        if (!consume_retry()) break;
         ++retransmits;
         // The retry leaves at its actual schedule time: the sink-side wait
         // (fixed timer or jittered exponential backoff) lands in the ledger
@@ -356,16 +352,15 @@ TwoPhaseEngine::CollectObservations(const query::AggregateQuery& query,
       if (!network_->IsAlive(visit.peer) || !network_->IsAlive(sink)) break;
     }
     // Hedged duplicate toward predictably tardy peers: the sink's hedge
-    // timer (hedge_delay_factor x the nominal reply time) elapses before a
+    // timer (kHedgeDelayFactor x the nominal reply time) elapses before a
     // straggler's reply can arrive, so it asks for one duplicate copy; the
     // (peer, selection_seq) dedup absorbs double deliveries.
     bool hedge_delivered = false;
     if (sp.hedged_replies && network_->IsAlive(visit.peer) &&
         network_->IsAlive(sink)) {
       double hedge_due =
-          sp.hedge_delay_factor * network_->NominalHopLatencyMs();
-      if (network_->ExpectedPeerTailDelayMs(visit.peer) > hedge_due &&
-          consume_retry()) {
+          net::kHedgeDelayFactor * network_->NominalHopLatencyMs();
+      if (network_->ExpectedPeerTailDelayMs(visit.peer) > hedge_due) {
         ++hedges;
         hedge_delivered = network_
                               ->SendDirect(net::MessageType::kAggregateReply,
@@ -449,9 +444,7 @@ TwoPhaseEngine::CollectObservations(const query::AggregateQuery& query,
     }
   }
   const size_t delivered_count = observations.size();
-  const auto quorum = static_cast<size_t>(std::ceil(
-      params_.min_observation_quorum * static_cast<double>(count)));
-  if (count > 0 && delivered_count < quorum &&
+  if (count > 0 && delivered_count < ObservationQuorum(params_, count) &&
       !util::BugArmed(util::InjectedBug::kSkipQuorumCheck)) {
     return util::Status::Unavailable(
         "observation quorum not met: " + std::to_string(delivered_count) +
@@ -470,133 +463,118 @@ TwoPhaseEngine::CollectObservations(const query::AggregateQuery& query,
   return observations;
 }
 
-std::vector<WeightedObservation> TwoPhaseEngine::ToWeighted(
-    const std::vector<PeerObservation>& observations, query::AggregateOp op) {
-  std::vector<WeightedObservation> weighted;
-  weighted.reserve(observations.size());
-  for (const PeerObservation& obs : observations) {
-    weighted.push_back(
-        {obs.aggregate.ValueFor(op), obs.stationary_weight});
-  }
-  return weighted;
+size_t MaxPhase2Peers(const EngineParams& params, size_t num_peers) {
+  return params.max_phase2_peers == 0 ? num_peers : params.max_phase2_peers;
 }
 
-util::Result<ApproximateAnswer> TwoPhaseEngine::ExecuteCentral(
-    const query::AggregateQuery& query, graph::NodeId sink, util::Rng& rng) {
-  net::CostSnapshot before = network_->cost_snapshot();
-  const net::StragglerPolicy& sp = params_.straggler;
-  if (sp.enabled()) {
-    health_.Configure(sp);
-    health_.Reset(network_->num_peers());
-  }
-  // Query-scoped retry/hedge budget, shared by both phases.
-  size_t retry_budget_left =
-      sp.retry_budget == 0 ? SIZE_MAX : sp.retry_budget;
+size_t ObservationQuorum(const EngineParams& params, size_t requested) {
+  return static_cast<size_t>(std::ceil(params.min_observation_quorum *
+                                       static_cast<double>(requested)));
+}
 
-  // ---- Phase I: sniff the network. ----
-  CollectionStats phase1_stats;
-  auto phase1 = CollectObservations(query, sink, params_.phase1_peers, rng,
-                                    &phase1_stats, &retry_budget_left);
-  if (!phase1.ok()) return phase1.status();
-  if (phase1->size() < 2) {
-    return util::Status::Unavailable(
-        "phase I delivered too few observations to cross-validate");
-  }
-
+PhaseTwoPlan PlanPhaseTwo(const PlanContext& ctx,
+                          const query::AggregateQuery& query,
+                          const std::vector<PeerObservation>& phase1,
+                          util::Rng& rng) {
+  const EngineParams& params = ctx.params;
   const bool is_avg = query.op == query::AggregateOp::kAvg;
   CrossValidationResult cv =
-      is_avg ? CrossValidateRatio(*phase1, total_weight_, params_.cv_repeats,
+      is_avg ? CrossValidateRatio(phase1, ctx.total_weight, params.cv_repeats,
                                   rng)
-             : CrossValidate(ToWeighted(*phase1, query.op), total_weight_,
-                             params_.cv_repeats, rng);
+             : CrossValidate(ToWeighted(phase1, query.op), ctx.total_weight,
+                             params.cv_repeats, rng);
 
   // The paper normalizes errors to [0,1] against the *total* aggregate
   // (N for COUNT; Sec. 3.4: dividing the variance by N^2 yields the squared
   // relative-count error). Estimate that total from the same phase-I
   // sample: every reply already carries the peer's tuple count and scaled
   // all-tuples sum.
-  double estimated_total = EstimateTotal(*phase1, query.op, total_weight_);
-  if (is_avg || estimated_total <= 0.0 ||
-      params_.normalization == ErrorNormalization::kQueryAnswer) {
+  PhaseTwoPlan plan;
+  plan.estimated_total = EstimateTotal(phase1, query.op, ctx.total_weight);
+  if (is_avg || plan.estimated_total <= 0.0 ||
+      params.normalization == ErrorNormalization::kQueryAnswer) {
     // AVG never scales with selectivity; kQueryAnswer opts COUNT/SUM into
     // the same answer-relative guarantee.
-    estimated_total = std::fabs(cv.estimate);
+    plan.estimated_total = std::fabs(cv.estimate);
   }
-  double cv_normalized =
-      estimated_total == 0.0 ? 0.0 : cv.cv_error / estimated_total;
-
-  // ---- Plan: size phase II from the cross-validation error. ----
+  plan.cv_normalized =
+      plan.estimated_total == 0.0 ? 0.0 : cv.cv_error / plan.estimated_total;
   // Sized from the observations that actually arrived (== phase1_peers on
   // the fault-free path): the cross-validation error was measured on those.
-  size_t phase2_peers = PhaseTwoSampleSize(
-      phase1->size(), cv_normalized, query.required_error,
-      params_.min_phase2_peers, MaxPhase2Peers());
+  plan.phase2_peers = PhaseTwoSampleSize(
+      phase1.size(), plan.cv_normalized, query.required_error,
+      kMinPhase2Peers, MaxPhase2Peers(params, ctx.network->num_peers()));
+  return plan;
+}
 
-  // ---- Phase II: execute the plan. ----
-  CollectionStats phase2_stats;
-  auto phase2 = CollectObservations(query, sink, phase2_peers, rng,
-                                    &phase2_stats, &retry_budget_left);
-  if (!phase2.ok()) return phase2.status();
-
+util::Result<ApproximateAnswer> AssembleAnswer(const PlanContext& ctx,
+                                               query::AggregateOp op,
+                                               const PhaseTwoPlan& plan,
+                                               const CollectedPhase& phase1,
+                                               const CollectedPhase& phase2,
+                                               util::Rng& rng) {
+  const TwoPhaseEngine::CollectionStats& s1 = phase1.stats;
+  const TwoPhaseEngine::CollectionStats& s2 = phase2.stats;
+  const bool anytime = s1.deadline_hit || s2.deadline_hit;
   std::vector<PeerObservation> final_set;
-  if (params_.include_phase1_observations) {
-    final_set = *phase1;
-    final_set.insert(final_set.end(), phase2->begin(), phase2->end());
+  if (ctx.params.include_phase1_observations || anytime) {
+    // An anytime answer uses every observation that reached the sink.
+    final_set = phase1.observations;
+    final_set.insert(final_set.end(), phase2.observations.begin(),
+                     phase2.observations.end());
   } else {
-    final_set = *phase2;
+    final_set = phase2.observations;
   }
 
   // ---- Byzantine defenses (RobustnessPolicy). ----
-  const RobustnessPolicy& policy = params_.robustness;
+  const RobustnessPolicy& policy = ctx.params.robustness;
   size_t suspected =
-      AuditObservationDegrees(network_, policy, sink, &final_set, rng);
-  if (final_set.empty()) {
+      AuditObservationDegrees(ctx.network, policy, ctx.sink, &final_set, rng);
+  if (final_set.empty() && !anytime) {
     return util::Status::Unavailable(
         "degree audit rejected every observation");
   }
 
   ApproximateAnswer answer;
   answer.suspected_peers = suspected;
-  if (is_avg) {
+  if (final_set.empty()) {
+    // Deadline fired before a single observation survived: the anytime
+    // answer is a zero estimate with maximal degradation, never an error.
+  } else if (op == query::AggregateOp::kAvg) {
     // The ratio path is not robustified (known gap, see docs/ALGORITHM.md):
-    // it still benefits from the audit and dedup above.
-    answer.estimate = RatioEstimate(final_set, total_weight_);
-    // Delta-method style variability proxy: variance of the ratio across
-    // the CV halves is already folded into cv_error; report the count-based
-    // variance scaled by the ratio as a conservative stand-in.
-    answer.variance = 0.0;
+    // it still benefits from the audit and dedup above. Its variability is
+    // already folded into the CV error; the variance is left 0.
+    answer.estimate = RatioEstimate(final_set, ctx.total_weight);
   } else {
-    auto weighted = ToWeighted(final_set, query.op);
+    auto weighted = ToWeighted(final_set, op);
     if (policy.enabled()) {
       RobustEstimate robust =
-          RobustHorvitzThompson(weighted, total_weight_, policy);
+          RobustHorvitzThompson(weighted, ctx.total_weight, policy);
       answer.estimate = robust.estimate;
       answer.variance = robust.variance;
       answer.trimmed_mass = robust.trimmed_mass;
     } else {
-      answer.estimate = HorvitzThompson(weighted, total_weight_);
-      answer.variance = HorvitzThompsonVariance(weighted, total_weight_);
+      answer.estimate = HorvitzThompson(weighted, ctx.total_weight);
+      answer.variance = HorvitzThompsonVariance(weighted, ctx.total_weight);
     }
   }
   // ---- Degradation accounting. ----
-  answer.observations_lost = phase1_stats.lost + phase2_stats.lost;
-  answer.walk_restarts =
-      phase1_stats.walk_restarts + phase2_stats.walk_restarts;
-  answer.duplicate_replies =
-      phase1_stats.duplicate_replies + phase2_stats.duplicate_replies;
-  answer.hedges_sent = phase1_stats.hedges + phase2_stats.hedges;
-  answer.stragglers_skipped =
-      phase1_stats.straggler_skips + phase2_stats.straggler_skips;
+  answer.observations_lost = s1.lost + s2.lost;
+  answer.walk_restarts = s1.walk_restarts + s2.walk_restarts;
+  answer.duplicate_replies = s1.duplicate_replies + s2.duplicate_replies;
+  answer.deadline_hit = anytime;
+  answer.hedges_sent = s1.hedges + s2.hedges;
+  answer.stragglers_skipped = s1.straggler_skips + s2.straggler_skips;
   answer.degraded = answer.observations_lost > 0 || suspected > 0 ||
-                    answer.trimmed_mass > 0.0;
+                    answer.trimmed_mass > 0.0 || anytime;
   double inflation = 1.0;
   if (answer.observations_lost > 0) {
     // The HT reweighting over the survivors is unbiased when loss is
     // independent of the data, but a crashed peer's contribution vanishes
     // *with* its data; widen the interval by the root of the loss ratio to
     // acknowledge that the loss mechanism may not be random.
-    size_t requested = phase1_stats.requested + phase2_stats.requested;
-    size_t arrived = phase1_stats.delivered + phase2_stats.delivered;
+    size_t requested = s1.requested + s2.requested;
+    size_t arrived = s1.delivered + s2.delivered;
     inflation = std::sqrt(static_cast<double>(requested) /
                           static_cast<double>(std::max<size_t>(arrived, 1)));
   }
@@ -606,17 +584,68 @@ util::Result<ApproximateAnswer> TwoPhaseEngine::ExecuteCentral(
   double discarded = std::min(answer.trimmed_mass, 0.9);
   if (discarded > 0.0) inflation *= std::sqrt(1.0 / (1.0 - discarded));
   answer.ci_half_width_95 = kZ95 * std::sqrt(answer.variance) * inflation;
-  answer.estimated_total = estimated_total;
-  answer.cv_error_relative = cv_normalized;
-  answer.phase1_peers = phase1->size();
-  answer.phase2_peers = phase2->size();
+  answer.estimated_total = plan.estimated_total;
+  answer.cv_error_relative = plan.cv_normalized;
+  answer.phase1_peers = phase1.observations.size();
+  answer.phase2_peers = phase2.observations.size();
   // The error bound actually achieved, on required_error's scale.
-  double denom = estimated_total > 0.0 ? estimated_total
-                                       : std::fabs(answer.estimate);
+  double denom = plan.estimated_total > 0.0 ? plan.estimated_total
+                                            : std::fabs(answer.estimate);
   answer.achieved_error =
       denom > 0.0 ? answer.ci_half_width_95 / denom : 0.0;
-  answer.cost = net::CostDelta(network_->cost_snapshot(), before);
-  answer.sample_tuples = answer.cost.tuples_sampled;
+  if (anytime && final_set.size() < 2) {
+    // No usable spread: an anytime answer built from 0-1 observations has
+    // no defensible CI, so report total relative error instead of a
+    // spuriously perfect one.
+    answer.achieved_error = 1.0;
+  }
+  return answer;
+}
+
+util::Result<ApproximateAnswer> RunTwoPhasePlan(
+    const PlanContext& ctx, const query::AggregateQuery& query,
+    double deadline_ms, util::Rng& rng, const CollectFn& collect) {
+  net::CostSnapshot before = ctx.network->cost_snapshot();
+
+  // ---- Phase I: sniff the network. ----
+  CollectedPhase phase1;
+  auto got1 = collect(ctx.params.phase1_peers, deadline_ms, &phase1.stats);
+  if (!got1.ok()) return got1.status();
+  phase1.observations = std::move(*got1);
+
+  CollectedPhase phase2;
+  PhaseTwoPlan plan;
+  if (phase1.observations.size() >= 2) {
+    // ---- Plan: size phase II from the cross-validation error. ----
+    plan = PlanPhaseTwo(ctx, query, phase1.observations, rng);
+    // ---- Phase II: execute the plan. ----
+    if (phase1.stats.elapsed_ms >= deadline_ms) {
+      // Phase I consumed the whole deadline: phase II never launches and
+      // its entire request counts as lost.
+      phase2.stats.requested = plan.phase2_peers;
+      phase2.stats.lost = plan.phase2_peers;
+      phase2.stats.deadline_hit = true;
+    } else {
+      // Phase II inherits whatever deadline budget phase I left over.
+      const double remaining = std::isfinite(deadline_ms)
+                                   ? deadline_ms - phase1.stats.elapsed_ms
+                                   : deadline_ms;
+      auto got2 = collect(plan.phase2_peers, remaining, &phase2.stats);
+      if (!got2.ok()) return got2.status();
+      phase2.observations = std::move(*got2);
+    }
+  } else if (!phase1.stats.deadline_hit) {
+    return util::Status::Unavailable(
+        "phase I delivered too few observations to cross-validate");
+  }
+  // (Fewer than 2 phase-I observations under a deadline: answer anytime
+  // from whatever phase I scraped together.)
+
+  auto answer = AssembleAnswer(ctx, query.op, plan, phase1, phase2, rng);
+  if (answer.ok()) {
+    answer->cost = net::CostDelta(ctx.network->cost_snapshot(), before);
+    answer->sample_tuples = answer->cost.tuples_sampled;
+  }
   return answer;
 }
 
@@ -629,7 +658,18 @@ util::Result<ApproximateAnswer> TwoPhaseEngine::Execute(
     case query::AggregateOp::kCount:
     case query::AggregateOp::kSum:
     case query::AggregateOp::kAvg:
-      return ExecuteCentral(query, sink, rng);
+      if (params_.straggler.health_tracking) {
+        health_.Reset(network_->num_peers());
+      }
+      // The sequential ledger charges latency as it goes, so the plan runs
+      // without a deadline (EngineParams::deadline_ms is an event-clock
+      // bound).
+      return RunTwoPhasePlan(
+          PlanContext{network_, params_, sink, total_weight_}, query,
+          std::numeric_limits<double>::infinity(), rng,
+          [&](size_t count, double /*deadline_ms*/, CollectionStats* stats) {
+            return CollectObservations(query, sink, count, rng, stats);
+          });
     case query::AggregateOp::kMedian:
     case query::AggregateOp::kQuantile:
       return EstimateQuantileTwoPhase(*this, query, sink, rng);

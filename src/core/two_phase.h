@@ -10,6 +10,7 @@
 #ifndef P2PAQP_CORE_TWO_PHASE_H_
 #define P2PAQP_CORE_TWO_PHASE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +28,9 @@
 #include "util/status.h"
 
 namespace p2paqp::core {
+
+// Lower clamp on the phase-II peer count m'.
+inline constexpr size_t kMinPhase2Peers = 4;
 
 // What the required error (and the cross-validation error driving phase-II
 // sizing) is measured relative to.
@@ -56,8 +60,8 @@ struct EngineParams {
   size_t block_size = 8;
   // Random halvings averaged by the cross-validation step.
   size_t cv_repeats = 10;
-  // Clamps on the phase-II peer count m'.
-  size_t min_phase2_peers = 4;
+  // Upper clamp on the phase-II peer count m' (the lower one is
+  // kMinPhase2Peers).
   size_t max_phase2_peers = 0;  // 0 = number of peers in the network.
   // If true, phase-I observations join the final estimate (cheaper but the
   // paper's plan uses phase II only; kept as an ablation switch).
@@ -229,6 +233,9 @@ class TwoPhaseEngine {
     size_t straggler_skips = 0;
     // The collection was cut short by EngineParams.deadline_ms.
     bool deadline_hit = false;
+    // Event-clock time the round took (0 on the sequential ledger, whose
+    // latency is charged to the cost tracker instead).
+    double elapsed_ms = 0.0;
   };
 
   // Visits `count` peers via the engine's sampler and returns their shipped
@@ -241,14 +248,9 @@ class TwoPhaseEngine {
   // reported through `stats` instead of failing the call. Hard-fails only
   // when fewer than params().min_observation_quorum of the requested
   // observations arrive (or on non-retryable errors such as a dead sink).
-  // `retry_budget_left` (optional) is the query-scoped budget shared across
-  // phases: retries and hedges decrement it and stop when it hits 0. When
-  // null and params().straggler.retry_budget > 0, each collection gets its
-  // own budget.
   util::Result<std::vector<PeerObservation>> CollectObservations(
       const query::AggregateQuery& query, graph::NodeId sink, size_t count,
-      util::Rng& rng, CollectionStats* stats = nullptr,
-      size_t* retry_budget_left = nullptr);
+      util::Rng& rng, CollectionStats* stats = nullptr);
 
   // Hybrid extension hook; pass nullptr to disable. Not owned.
   void set_cache(LocalResultCache* cache) { cache_ = cache; }
@@ -259,28 +261,93 @@ class TwoPhaseEngine {
   net::SimulatedNetwork* network() { return network_; }
 
  private:
-  // COUNT / SUM / AVG common path.
-  util::Result<ApproximateAnswer> ExecuteCentral(
-      const query::AggregateQuery& query, graph::NodeId sink, util::Rng& rng);
-
-  // Turns observations into per-op WeightedObservations.
-  static std::vector<WeightedObservation> ToWeighted(
-      const std::vector<PeerObservation>& observations,
-      query::AggregateOp op);
-
-  size_t MaxPhase2Peers() const;
-
   net::SimulatedNetwork* network_;
   SystemCatalog catalog_;
   EngineParams params_;
   // Reply-latency/failure scoreboard feeding the walk's circuit breaker.
   // Declared before sampler_ so the default sampler's WalkParams can point
-  // at it. Reset per Execute() when the straggler policy is enabled.
+  // at it. Reset per Execute() when health tracking is on.
   net::PeerHealthBoard health_;
   std::unique_ptr<sampling::PeerSampler> sampler_;
   double total_weight_;
   LocalResultCache* cache_ = nullptr;
 };
+
+// ---- The sink-side plan (Sec. 4), shared by every executor. ----
+//
+// The synchronous engine, the event-driven session and the multi-query
+// scheduler differ in how a collection round reaches peers and in how they
+// account time; everything the sink does between and after the rounds is
+// written once, here.
+
+// Where a plan runs.
+struct PlanContext {
+  net::SimulatedNetwork* network;
+  const EngineParams& params;
+  graph::NodeId sink;
+  // Normalizer turning the sampler's stationary weights into probabilities.
+  double total_weight;
+};
+
+// One finished collection round as the sink saw it.
+struct CollectedPhase {
+  std::vector<PeerObservation> observations;
+  TwoPhaseEngine::CollectionStats stats;
+};
+
+// The phase-II plan derived from the phase-I sample.
+struct PhaseTwoPlan {
+  // Error normalizer: the estimated total aggregate (N for COUNT, the
+  // all-tuples sum for SUM), or |estimate| for AVG, kQueryAnswer and a
+  // non-positive total.
+  double estimated_total = 0.0;
+  // Cross-validation error divided by estimated_total.
+  double cv_normalized = 0.0;
+  // m' = (m/2)(CVError/Delta_req)^2, clamped to
+  // [kMinPhase2Peers, MaxPhase2Peers].
+  size_t phase2_peers = 0;
+};
+
+// Upper clamp on m': EngineParams::max_phase2_peers, or the network size.
+size_t MaxPhase2Peers(const EngineParams& params, size_t num_peers);
+
+// Fewest delivered observations out of `requested` that keep a collection
+// round alive (EngineParams::min_observation_quorum, rounded up).
+size_t ObservationQuorum(const EngineParams& params, size_t requested);
+
+// Cross-validates the phase-I sample (the ratio form for AVG), normalizes
+// the CV error and sizes phase II. Needs at least 2 observations.
+PhaseTwoPlan PlanPhaseTwo(const PlanContext& ctx,
+                          const query::AggregateQuery& query,
+                          const std::vector<PeerObservation>& phase1,
+                          util::Rng& rng);
+
+// The answer epilogue: picks the final set (phase II, plus phase I when
+// include_phase1_observations is set or a deadline cut the query short),
+// audits degrees, runs the plain or robust Horvitz-Thompson estimator (the
+// ratio for AVG), widens the CI for loss and trimming, and fills the
+// degradation, audit and straggler reports. Leaves `cost` and
+// `sample_tuples` to the caller.
+util::Result<ApproximateAnswer> AssembleAnswer(const PlanContext& ctx,
+                                               query::AggregateOp op,
+                                               const PhaseTwoPlan& plan,
+                                               const CollectedPhase& phase1,
+                                               const CollectedPhase& phase2,
+                                               util::Rng& rng);
+
+// One collection round of `count` selections with `deadline_ms` of deadline
+// budget left (+inf = none). Fills `stats`, including elapsed_ms and
+// deadline_hit when the executor runs on an event clock.
+using CollectFn = std::function<util::Result<std::vector<PeerObservation>>(
+    size_t count, double deadline_ms, TwoPhaseEngine::CollectionStats* stats)>;
+
+// The whole plan: phase I, PlanPhaseTwo, phase II (skipped when phase I used
+// up the deadline), AssembleAnswer. A deadline-cut phase I with fewer than 2
+// observations answers anytime instead of failing. `cost` is the ledger
+// delta across the call.
+util::Result<ApproximateAnswer> RunTwoPhasePlan(
+    const PlanContext& ctx, const query::AggregateQuery& query,
+    double deadline_ms, util::Rng& rng, const CollectFn& collect);
 
 }  // namespace p2paqp::core
 

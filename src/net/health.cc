@@ -8,14 +8,11 @@ double RetryBackoffMs(const StragglerPolicy& policy, size_t attempt,
                       util::Rng& rng) {
   if (!policy.exponential_backoff) return policy.retransmit_timeout_ms;
   double wait =
-      policy.backoff_base_ms * std::pow(2.0, static_cast<double>(attempt) - 1.0);
-  if (policy.backoff_jitter > 0.0) {
-    // Symmetric +/-jitter: deterministic because `rng` is the event-ordered
-    // query stream, de-synchronized across queries because it is seeded.
-    double u = rng.UniformDouble(0.0, 1.0);
-    wait *= 1.0 + policy.backoff_jitter * (2.0 * u - 1.0);
-  }
-  return wait;
+      kBackoffBaseMs * std::pow(2.0, static_cast<double>(attempt) - 1.0);
+  // Symmetric +/-jitter: deterministic because `rng` is the event-ordered
+  // query stream, de-synchronized across queries because it is seeded.
+  double u = rng.UniformDouble(0.0, 1.0);
+  return wait * (1.0 + kBackoffJitter * (2.0 * u - 1.0));
 }
 
 void PeerHealthBoard::Reset(size_t num_peers) {
@@ -30,7 +27,7 @@ void PeerHealthBoard::Reset(size_t num_peers) {
 
 void PeerHealthBoard::Record(graph::NodeId peer, double latency_ms, bool ok) {
   if (peer >= latency_.size()) return;
-  const double alpha = policy_.ewma_alpha;
+  const double alpha = kHealthEwmaAlpha;
   if (samples_[peer] == 0) touched_.push_back(peer);
   ++samples_[peer];
   if (ok) {
@@ -54,12 +51,10 @@ void PeerHealthBoard::Record(graph::NodeId peer, double latency_ms, bool ok) {
 
 bool PeerHealthBoard::Tripped(graph::NodeId peer) const {
   if (peer >= samples_.size()) return false;
-  if (samples_[peer] < policy_.breaker_min_samples) return false;
-  if (failure_[peer] >= policy_.breaker_failure_threshold) return true;
-  if (global_samples_ >= policy_.breaker_min_samples &&
-      global_latency_ > 0.0 &&
-      latency_[peer] >=
-          policy_.breaker_latency_factor * global_latency_) {
+  if (samples_[peer] < kBreakerMinSamples) return false;
+  if (failure_[peer] >= kBreakerFailureThreshold) return true;
+  if (global_samples_ >= kBreakerMinSamples && global_latency_ > 0.0 &&
+      latency_[peer] >= kBreakerLatencyFactor * global_latency_) {
     return true;
   }
   return false;

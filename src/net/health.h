@@ -25,69 +25,63 @@
 
 namespace p2paqp::net {
 
-// All straggler-resilience knobs in one struct so EngineParams carries a
+// The straggler-resilience switches in one struct so EngineParams carries a
 // single field. Default-constructed = everything off: engines behave (and
-// draw RNG) exactly as before this subsystem existed.
+// draw RNG) exactly as before this subsystem existed. The tuning behind
+// each switch is fixed by the constants below.
 struct StragglerPolicy {
-  // --- Walk-Not-Wait ------------------------------------------------------
-  // A walker whose next hop would take longer than the adaptive budget
-  // (hop_budget_factor x observed hop EWMA) gives up on the transit after
-  // the budget elapses instead of blocking. A fork is a lazy self-loop
-  // (stationary-distribution preserving), and the tardy peer is still
-  // selected in absentia on selection-due hops.
+  // Walk-Not-Wait: a walker whose next hop would take longer than the
+  // adaptive budget (kHopBudgetFactor x the observed hop EWMA) gives up on
+  // the transit after the budget elapses instead of blocking. A fork is a
+  // lazy self-loop (stationary-distribution preserving), and the tardy peer
+  // is still selected in absentia on selection-due hops.
   bool walk_not_wait = false;
-  double hop_budget_factor = 4.0;
-  // Budget floor so a lucky streak of fast hops cannot shrink the budget
-  // into hair-trigger territory (ms; 0 = derive from the nominal hop).
-  double hop_budget_floor_ms = 0.0;
-
-  // --- Hedged replies -----------------------------------------------------
-  // When a primary reply's modelled delay exceeds hedge_delay_factor x the
-  // reply-latency EWMA (the adaptive "slowest decile" cut), the sink sends
-  // one hedged duplicate; (peer, selection_seq) dedup absorbs double
-  // deliveries.
+  // Hedged replies: when a primary reply's modelled delay exceeds
+  // kHedgeDelayFactor x the reply-latency EWMA (the adaptive "slowest
+  // decile" cut), the sink sends one hedged duplicate; (peer,
+  // selection_seq) dedup absorbs double deliveries.
   bool hedged_replies = false;
-  double hedge_delay_factor = 3.0;
-
-  // --- Retransmit backoff -------------------------------------------------
-  // Fixed sink-side wait charged to the ledger per retry (0 keeps the PR 1
-  // behavior of charging nothing), or exponential backoff from
-  // backoff_base_ms with deterministic seed-derived +/-jitter.
+  // Retransmit backoff: a fixed sink-side wait charged to the ledger per
+  // retry (0 keeps the PR 1 behavior of charging nothing), or exponential
+  // backoff from kBackoffBaseMs with seed-derived +/-kBackoffJitter.
   double retransmit_timeout_ms = 0.0;
   bool exponential_backoff = false;
-  double backoff_base_ms = 120.0;
-  double backoff_jitter = 0.25;
-  // Per-query cap on retries + hedges combined (0 = unlimited).
-  size_t retry_budget = 0;
-
-  // --- Health scoreboard / circuit breaker --------------------------------
+  // Health scoreboard feeding the circuit breaker.
   bool health_tracking = false;
-  double ewma_alpha = 0.2;
-  // Breaker trips when a peer has at least breaker_min_samples observations
-  // and either its failure EWMA crosses the threshold or its latency EWMA
-  // exceeds breaker_latency_factor x the global latency EWMA.
-  double breaker_failure_threshold = 0.6;
-  double breaker_latency_factor = 8.0;
-  size_t breaker_min_samples = 4;
-
-  bool enabled() const {
-    return walk_not_wait || hedged_replies || exponential_backoff ||
-           retransmit_timeout_ms > 0.0 || health_tracking || retry_budget > 0;
-  }
 };
 
+// Walk-Not-Wait hop budget: this multiple of the hop-transit EWMA (the
+// synchronous walk, which observes no transits, uses the nominal hop)...
+inline constexpr double kHopBudgetFactor = 4.0;
+// ...never below this many nominal hops, so a lucky streak of fast hops
+// cannot shrink the budget into hair-trigger territory.
+inline constexpr double kHopBudgetFloorHops = 2.0;
+// Hedge timer, as a multiple of the reply-latency EWMA.
+inline constexpr double kHedgeDelayFactor = 3.0;
+// Exponential backoff: first retry waits kBackoffBaseMs, each later one
+// doubles, every wait jittered by +/-kBackoffJitter.
+inline constexpr double kBackoffBaseMs = 120.0;
+inline constexpr double kBackoffJitter = 0.25;
+// Smoothing weight of every straggler EWMA (health board, hop and reply
+// budgets).
+inline constexpr double kHealthEwmaAlpha = 0.2;
+// The breaker trips once a peer has kBreakerMinSamples observations and
+// either its failure EWMA reaches kBreakerFailureThreshold or its latency
+// EWMA reaches kBreakerLatencyFactor x the global latency EWMA.
+inline constexpr size_t kBreakerMinSamples = 4;
+inline constexpr double kBreakerFailureThreshold = 0.6;
+inline constexpr double kBreakerLatencyFactor = 8.0;
+
 // Sink-side wait before retry `attempt` (1-based) under `policy`: the fixed
-// timer, or exponential backoff with jitter drawn from `rng`. Consumes RNG
-// only when exponential backoff with jitter is on, so legacy query streams
-// replay bit-identically under legacy policies.
+// timer, or jittered exponential backoff drawn from `rng`. Consumes RNG only
+// under exponential backoff, so legacy query streams replay bit-identically
+// under legacy policies.
 double RetryBackoffMs(const StragglerPolicy& policy, size_t attempt,
                       util::Rng& rng);
 
 // EWMA latency + failure scoreboard over the peers a query has touched.
 class PeerHealthBoard {
  public:
-  void Configure(const StragglerPolicy& policy) { policy_ = policy; }
-
   // Grows the flat per-peer arrays (allocation happens HERE, outside the
   // drain) and clears all statistics.
   void Reset(size_t num_peers);
@@ -111,7 +105,6 @@ class PeerHealthBoard {
   bool empty() const { return latency_.empty(); }
 
  private:
-  StragglerPolicy policy_;
   std::vector<float> latency_;
   std::vector<float> failure_;
   std::vector<uint32_t> samples_;

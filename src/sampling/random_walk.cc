@@ -93,8 +93,8 @@ util::Result<graph::NodeId> RandomWalk::Step(graph::NodeId current,
     double wait_ms = 0.0;
     bool tardy = false;
     if (!tripped && sp.walk_not_wait) {
-      double budget = sp.hop_budget_factor * network_->NominalHopLatencyMs();
-      if (budget < sp.hop_budget_floor_ms) budget = sp.hop_budget_floor_ms;
+      const double budget =
+          net::kHopBudgetFactor * network_->NominalHopLatencyMs();
       if (network_->DrawPeerTailDelay(next, rng) > budget) {
         // The holder only learns this transit is tardy by waiting the
         // budget out; breaker skips (known-bad peers) pay nothing.

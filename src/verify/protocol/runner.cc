@@ -94,7 +94,8 @@ std::vector<query::AggregateQuery> BuildQueries(const ChaosPlan& plan) {
     q.op = rng.Bernoulli(0.5) ? query::AggregateOp::kCount
                               : query::AggregateOp::kSum;
     data::Value lo = rng.UniformInt(1, 80);
-    q.predicate = query::RangePredicate{lo, lo + rng.UniformInt(5, 20)};
+    q.predicate = query::RangePredicate{
+        lo, static_cast<data::Value>(lo + rng.UniformInt(5, 20))};
     q.required_error = static_cast<double>(rng.UniformInt(15, 50)) / 100.0;
     queries.push_back(q);
   }

@@ -124,7 +124,7 @@ TEST(TwoPhaseEngineTest, AnswerCarriesCostVector) {
   auto answer = engine.Execute(CountQuery(), 0, rng);
   ASSERT_TRUE(answer.ok());
   EXPECT_EQ(answer->phase1_peers, 40u);
-  EXPECT_GE(answer->phase2_peers, params.min_phase2_peers);
+  EXPECT_GE(answer->phase2_peers, core::kMinPhase2Peers);
   EXPECT_EQ(answer->cost.peers_visited,
             answer->phase1_peers + answer->phase2_peers);
   // Walker hops = jump * selections + one burn-in per phase walk.

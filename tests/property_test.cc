@@ -250,7 +250,7 @@ TEST_P(EngineCoverageProperty, AnswersWithCoherentCosts) {
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   EXPECT_GT(answer->estimate, 0.0);
   EXPECT_EQ(answer->phase1_peers, 30u);
-  EXPECT_GE(answer->phase2_peers, params.min_phase2_peers);
+  EXPECT_GE(answer->phase2_peers, core::kMinPhase2Peers);
   EXPECT_GT(answer->cost.messages, 0u);
   EXPECT_GT(answer->cost.tuples_scanned, 0u);
   EXPECT_GT(answer->cost.latency_ms, 0.0);
