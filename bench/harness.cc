@@ -48,9 +48,6 @@ struct BenchTelemetry {
   double bytes_per_peer = 0.0;
   double events_per_sec = 0.0;
   double steady_allocs_per_event = 0.0;
-  // Worker width the scale measurement actually used (0 = not a scale
-  // binary; the JSON `threads` field then falls back to ParallelThreads).
-  size_t measure_threads = 0;
   // Peak RSS (MB) right after world construction; 0 = not recorded.
   double world_build_peak_rss_mb = 0.0;
   // Straggler-tier telemetry (heavy-tail latency regimes); zero for
@@ -90,14 +87,12 @@ void RecordSchedulerTelemetry(size_t queries, double wall_s, double messages,
 
 void RecordScaleTelemetry(double bytes_per_peer, double events_per_sec,
                           double steady_allocs_per_event,
-                          size_t measure_threads,
                           double world_build_peak_rss_mb) {
   BenchTelemetry& t = Telemetry();
   std::lock_guard<std::mutex> lock(t.mu);
   t.bytes_per_peer = bytes_per_peer;
   t.events_per_sec = events_per_sec;
   t.steady_allocs_per_event = steady_allocs_per_event;
-  t.measure_threads = measure_threads;
   t.world_build_peak_rss_mb = world_build_peak_rss_mb;
 }
 
@@ -552,10 +547,7 @@ void EmitFigure(const std::string& title, const std::string& setup,
                "  \"deadline_hit_rate\": %.4f\n"
                "}\n",
                io.name.c_str(), wall_s,
-               // Scale binaries report the worker width their measurement
-               // actually ran at; everything else reports the env default.
-               t.measure_threads > 0 ? t.measure_threads
-                                     : util::ParallelThreads(),
+               util::ParallelThreads(),
                ScaleFactor(),
                t.experiments, t.messages / n, t.bytes / n,
                t.peers_visited / n, t.observations_lost / n,

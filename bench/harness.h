@@ -147,16 +147,11 @@ void RecordSchedulerTelemetry(size_t queries, double wall_s, double messages,
 // `steady_state_allocs_per_event` JSON fields, which tools/bench_gate.py
 // gates as an upper bound, a lower bound, resp. exactly-zero whenever the
 // committed baseline recorded them (see docs/PERFORMANCE.md, "Scale tier").
-// `measure_threads` is the worker width the warm-repeat measurement
-// actually used (the event core's resolved shard count — NOT the
-// P2PAQP_THREADS default the other benches report); it replaces the JSON
-// `threads` field so the gate's threads-matched comparisons line up with
-// the measurement. `world_build_peak_rss_mb` is the process peak RSS right
-// after world construction (ru_maxrss), the number the out-of-core builder
-// exists to bound; gated as an upper bound when the baseline records it.
+// `world_build_peak_rss_mb` is the process peak RSS right after world
+// construction (ru_maxrss), the number the out-of-core builder exists to
+// bound; gated as an upper bound when the baseline records it.
 void RecordScaleTelemetry(double bytes_per_peer, double events_per_sec,
                           double steady_allocs_per_event,
-                          size_t measure_threads,
                           double world_build_peak_rss_mb);
 
 // Records the straggler-tier telemetry: the 99th-percentile simulated query

@@ -26,7 +26,6 @@
 #include <sys/resource.h>
 
 #include "core/async_engine.h"
-#include "net/event_sim.h"
 #include "net/fault.h"
 #include "core/catalog.h"
 #include "data/generator.h"
@@ -157,13 +156,8 @@ int Run(int argc, char** argv) {
                              static_cast<double>(total_events)
                        : 0.0;
 
-  // The warm-repeat measurement drains a sharded event core: its worker
-  // width is the resolved shard count, not the P2PAQP_THREADS default —
-  // record the width the measurement actually used so the gate's
-  // threads-matched comparisons line up.
   RecordScaleTelemetry(bytes_per_peer, events_per_sec,
-                       steady_allocs_per_event,
-                       net::EventQueue::ResolvedShards(), build_peak_rss_mb);
+                       steady_allocs_per_event, build_peak_rss_mb);
 
   // Straggler tier: the same COUNT under a heavy Pareto tail plus a 10%
   // slow coalition, answered by the full resilience stack (Walk-Not-Wait,

@@ -4,172 +4,110 @@
 #include <iterator>
 #include <utility>
 
-#include "util/parallel.h"
-
 namespace p2paqp::net {
 
-size_t EventQueue::ResolveShards() {
-  size_t threads = util::ParallelThreads();
-  size_t shards = 1;
-  while (shards < threads && shards < kMaxShards) shards <<= 1;
-  return shards;
-}
-
-EventQueue::EventQueue() : EventQueue(ResolveShards()) {}
-
-EventQueue::EventQueue(size_t shards) {
-  P2PAQP_CHECK_GT(shards, 0u);
-  P2PAQP_CHECK_EQ(shards & (shards - 1), 0u)
-      << "shard count must be a power of two";
-  shards_.resize(shards);
-  shard_mask_ = shards - 1;
-}
-
-size_t EventQueue::pending() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.heap.size() + shard.sorted.size();
-  }
-  return total;
-}
-
-uint32_t EventQueue::AcquireSlot(Shard& shard) {
-  if (shard.free_head != kNoSlot) {
-    uint32_t slot = shard.free_head;
-    shard.free_head = shard.slab[slot].next_free;
-    shard.slab[slot].next_free = kNoSlot;
+uint32_t EventQueue::AcquireSlot() {
+  if (free_head_ != kNoSlot) {
+    uint32_t slot = free_head_;
+    free_head_ = slab_[slot].next_free;
+    slab_[slot].next_free = kNoSlot;
     return slot;
   }
-  uint32_t slot = static_cast<uint32_t>(shard.slab.size());
+  uint32_t slot = static_cast<uint32_t>(slab_.size());
   P2PAQP_CHECK_LT(slot, kSlotMask) << "event slab exhausted";
-  shard.slab.emplace_back();
+  slab_.emplace_back();
   return slot;
 }
 
-void EventQueue::ReleaseSlot(Shard& shard, uint32_t slot) {
+void EventQueue::ReleaseSlot(uint32_t slot) {
   // Drop the callback's captures immediately; the slot goes to the head of
-  // its shard's free list so the hot loop reuses the same few slots.
-  shard.slab[slot].callback = nullptr;
-  shard.slab[slot].handler = nullptr;
-  shard.slab[slot].next_free = shard.free_head;
-  shard.free_head = slot;
+  // the free list so the hot loop reuses the same few slots.
+  slab_[slot].callback = nullptr;
+  slab_[slot].handler = nullptr;
+  slab_[slot].next_free = free_head_;
+  free_head_ = slot;
 }
 
-void EventQueue::SiftUp(Shard& shard, size_t index) {
-  auto& heap = shard.heap;
-  Handle moving = heap[index];
+void EventQueue::SiftUp(size_t index) {
+  Handle moving = heap_[index];
   while (index > 0) {
     size_t parent = (index - 1) / 4;
-    if (!Earlier(moving, heap[parent])) break;
-    heap[index] = heap[parent];
+    if (!Earlier(moving, heap_[parent])) break;
+    heap_[index] = heap_[parent];
     index = parent;
   }
-  heap[index] = moving;
+  heap_[index] = moving;
 }
 
-void EventQueue::SiftDown(Shard& shard, size_t index) {
-  auto& heap = shard.heap;
-  const size_t size = heap.size();
-  Handle moving = heap[index];
+void EventQueue::SiftDown(size_t index) {
+  const size_t size = heap_.size();
+  Handle moving = heap_[index];
   for (;;) {
     size_t first_child = index * 4 + 1;
     if (first_child >= size) break;
     size_t last_child = first_child + 4 < size ? first_child + 4 : size;
     size_t best = first_child;
     for (size_t child = first_child + 1; child < last_child; ++child) {
-      if (Earlier(heap[child], heap[best])) best = child;
+      if (Earlier(heap_[child], heap_[best])) best = child;
     }
-    if (!Earlier(heap[best], moving)) break;
-    heap[index] = heap[best];
+    if (!Earlier(heap_[best], moving)) break;
+    heap_[index] = heap_[best];
     index = best;
   }
-  heap[index] = moving;
+  heap_[index] = moving;
 }
 
-EventQueue::Handle EventQueue::PopHeap(Shard& shard) {
-  auto& heap = shard.heap;
-  Handle top = heap[0];
-  Handle last = heap.back();
-  heap.pop_back();
-  if (!heap.empty()) {
-    heap[0] = last;
-    SiftDown(shard, 0);
-  }
-  return top;
-}
-
-void EventQueue::Flush(Shard& shard) {
+void EventQueue::Flush() {
   // Both inputs are strictly totally ordered (unique sequences), so the
   // merged order — and therefore every later pop — is independent of when
-  // flushes happen and of which shard an event landed in.
-  std::sort(shard.heap.begin(), shard.heap.end(), Later);
-  shard.scratch.clear();
-  shard.scratch.reserve(shard.sorted.size() + shard.heap.size());
-  std::merge(shard.sorted.begin(), shard.sorted.end(), shard.heap.begin(),
-             shard.heap.end(), std::back_inserter(shard.scratch), Later);
-  shard.sorted.swap(shard.scratch);
-  shard.heap.clear();
+  // flushes happen.
+  std::sort(heap_.begin(), heap_.end(), Later);
+  scratch_.clear();
+  scratch_.reserve(sorted_.size() + heap_.size());
+  std::merge(sorted_.begin(), sorted_.end(), heap_.begin(), heap_.end(),
+             std::back_inserter(scratch_), Later);
+  sorted_.swap(scratch_);
+  heap_.clear();
 }
 
-bool EventQueue::PeekShard(const Shard& shard, Handle* out,
-                           bool* from_heap) const {
-  if (shard.sorted.empty()) {
-    if (shard.heap.empty()) return false;
-    *out = shard.heap[0];
+bool EventQueue::Peek(Handle* out, bool* from_heap) const {
+  if (sorted_.empty()) {
+    if (heap_.empty()) return false;
+    *out = heap_[0];
     *from_heap = true;
     return true;
   }
-  if (shard.heap.empty() || Earlier(shard.sorted.back(), shard.heap[0])) {
-    *out = shard.sorted.back();
-    *from_heap = false;
-    return true;
-  }
-  *out = shard.heap[0];
-  *from_heap = true;
+  *from_heap = !heap_.empty() && Earlier(heap_[0], sorted_.back());
+  *out = *from_heap ? heap_[0] : sorted_.back();
   return true;
 }
 
-bool EventQueue::PeekGlobal(Handle* out, size_t* shard,
-                            bool* from_heap) const {
-  bool found = false;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Handle candidate;
-    bool candidate_from_heap;
-    if (!PeekShard(shards_[s], &candidate, &candidate_from_heap)) continue;
-    if (!found || Earlier(candidate, *out)) {
-      *out = candidate;
-      *shard = s;
-      *from_heap = candidate_from_heap;
-      found = true;
-    }
+void EventQueue::Pop(bool from_heap) {
+  if (!from_heap) {
+    sorted_.pop_back();
+    return;
   }
-  return found;
-}
-
-void EventQueue::PopFrom(size_t shard, bool from_heap) {
-  if (from_heap) {
-    PopHeap(shards_[shard]);
-  } else {
-    shards_[shard].sorted.pop_back();
+  Handle last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    heap_[0] = last;
+    SiftDown(0);
   }
 }
 
-void EventQueue::Push(double at, Shard& shard, uint32_t slot) {
-  shard.heap.push_back(Handle{at, (next_sequence_++ << kSlotBits) | slot});
-  SiftUp(shard, shard.heap.size() - 1);
-  if (shard.heap.size() >= kFlushThreshold) Flush(shard);
+void EventQueue::Push(double at, uint32_t slot) {
+  heap_.push_back(Handle{at, (next_sequence_++ << kSlotBits) | slot});
+  SiftUp(heap_.size() - 1);
+  if (heap_.size() >= kFlushThreshold) Flush();
 }
 
 void EventQueue::ScheduleAt(double at, Callback callback) {
   P2PAQP_CHECK_GE(at, now_) << "cannot schedule in the past";
   P2PAQP_CHECK_LT(next_sequence_, uint64_t{1} << (64 - kSlotBits))
       << "event sequence space exhausted";
-  // Round-robin by sequence: assignment balances load exactly and has no
-  // effect on pop order (the (at, key) total order is global).
-  Shard& shard = shards_[next_sequence_ & shard_mask_];
-  uint32_t slot = AcquireSlot(shard);
-  shard.slab[slot].callback = std::move(callback);
-  Push(at, shard, slot);
+  uint32_t slot = AcquireSlot();
+  slab_[slot].callback = std::move(callback);
+  Push(at, slot);
 }
 
 void EventQueue::ScheduleStepAt(double at, StepHandler* handler,
@@ -178,65 +116,52 @@ void EventQueue::ScheduleStepAt(double at, StepHandler* handler,
   P2PAQP_CHECK_LT(next_sequence_, uint64_t{1} << (64 - kSlotBits))
       << "event sequence space exhausted";
   P2PAQP_CHECK(handler != nullptr);
-  Shard& shard = shards_[next_sequence_ & shard_mask_];
-  uint32_t slot = AcquireSlot(shard);
-  shard.slab[slot].handler = handler;
-  shard.slab[slot].arg = arg;
-  Push(at, shard, slot);
+  uint32_t slot = AcquireSlot();
+  slab_[slot].handler = handler;
+  slab_[slot].arg = arg;
+  Push(at, slot);
 }
 
 bool EventQueue::RunOne() {
   Handle top;
-  size_t best_shard;
-  bool best_from_heap;
-  if (!PeekGlobal(&top, &best_shard, &best_from_heap)) return false;
-  PopFrom(best_shard, best_from_heap);
+  bool from_heap;
+  if (!Peek(&top, &from_heap)) return false;
+  Pop(from_heap);
   now_ = top.at;
   ++executed_;
-  Shard& shard = shards_[best_shard];
-  // Pull the winning shard's NEXT pop candidates toward the cache while
-  // this callback runs; pop order is unrelated to slab order, so these
-  // accesses miss otherwise.
-  if (!shard.sorted.empty()) {
-    __builtin_prefetch(
-        &shard.slab[static_cast<uint32_t>(shard.sorted.back().key) &
-                    kSlotMask]);
-  }
-  if (!shard.heap.empty()) {
-    __builtin_prefetch(
-        &shard.slab[static_cast<uint32_t>(shard.heap[0].key) & kSlotMask]);
-  }
-  uint32_t slot = static_cast<uint32_t>(top.key) & kSlotMask;
-  if (shard.slab[slot].handler != nullptr) {
+  // Pull the NEXT pop candidates' slots toward the cache while this
+  // callback runs; pop order is unrelated to slab order, so these accesses
+  // miss otherwise.
+  if (!sorted_.empty()) __builtin_prefetch(&slab_[SlotOf(sorted_.back())]);
+  if (!heap_.empty()) __builtin_prefetch(&slab_[SlotOf(heap_[0])]);
+  uint32_t slot = SlotOf(top);
+  if (slab_[slot].handler != nullptr) {
     // Typed step: gather the maximal run of simultaneous pops bound for the
     // same handler into one batch. Pops come off in exact (time, sequence)
     // order and anything RunSteps schedules gets a later sequence than every
     // gathered member, so the batch is indistinguishable from running its
     // members one at a time — the determinism digests do not move.
-    StepHandler* handler = shard.slab[slot].handler;
+    StepHandler* handler = slab_[slot].handler;
     step_args_.clear();
-    step_args_.push_back(shard.slab[slot].arg);
-    ReleaseSlot(shard, slot);
+    step_args_.push_back(slab_[slot].arg);
+    ReleaseSlot(slot);
     Handle next;
-    size_t next_shard;
     bool next_from_heap;
-    while (PeekGlobal(&next, &next_shard, &next_from_heap) &&
-           next.at == top.at) {
-      Shard& other = shards_[next_shard];
-      uint32_t next_slot = static_cast<uint32_t>(next.key) & kSlotMask;
-      if (other.slab[next_slot].handler != handler) break;
-      PopFrom(next_shard, next_from_heap);
+    while (Peek(&next, &next_from_heap) && next.at == top.at) {
+      uint32_t next_slot = SlotOf(next);
+      if (slab_[next_slot].handler != handler) break;
+      Pop(next_from_heap);
       ++executed_;
-      step_args_.push_back(other.slab[next_slot].arg);
-      ReleaseSlot(other, next_slot);
+      step_args_.push_back(slab_[next_slot].arg);
+      ReleaseSlot(next_slot);
     }
     handler->RunSteps(step_args_.data(), step_args_.size());
     return true;
   }
   // The callback is moved out before the slot is released, so it may safely
   // schedule new events (which can reuse the freed slot) while running.
-  Callback callback = std::move(shard.slab[slot].callback);
-  ReleaseSlot(shard, slot);
+  Callback callback = std::move(slab_[slot].callback);
+  ReleaseSlot(slot);
   callback();
   return true;
 }
@@ -250,24 +175,11 @@ double EventQueue::RunUntilEmpty(uint64_t max_events) {
 }
 
 void EventQueue::Reserve(size_t events) {
-  size_t per_shard = events / shards_.size() + 1;
-  // Shard s is reserved from the static lane that owns index s, so each
-  // shard's slab and tier pages are first-touched — and on NUMA hosts
-  // placed — according to the same contiguous lane -> node map the pinned
-  // pool workers use. Reservation fills no slots, so placement is the only
-  // thing that changes; with P2PAQP_THREADS=1 this runs inline exactly as
-  // before.
-  util::ParallelFor(
-      shards_.size(),
-      [this, per_shard](size_t s) {
-        Shard& shard = shards_[s];
-        shard.slab.reserve(per_shard);
-        shard.sorted.reserve(per_shard);
-        shard.scratch.reserve(per_shard);
-        shard.heap.reserve(per_shard < kFlushThreshold ? per_shard
-                                                       : kFlushThreshold);
-      },
-      {.threads = 0, .partition = util::Partition::kStatic});
+  const size_t slots = events + 1;
+  slab_.reserve(slots);
+  sorted_.reserve(slots);
+  scratch_.reserve(slots);
+  heap_.reserve(std::min(slots, kFlushThreshold));
   if (step_args_.capacity() < events) step_args_.reserve(events);
 }
 

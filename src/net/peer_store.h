@@ -1,4 +1,5 @@
-// Blocked storage for per-peer state, sharded for deterministic parallelism.
+// Blocked storage for per-peer state, partitioned for deterministic
+// parallelism.
 //
 // A million-peer overlay cannot afford one contiguous std::vector<Peer>
 // resize on every world build, and the deterministic parallel layer

@@ -2,10 +2,10 @@
 //
 // On a multi-socket host, a static-partition parallel region wants lane l's
 // worker pinned to the node that holds the pages lane l first-touched: the
-// PeerStore blocks a lane initializes, the event-shard slabs it reserves,
-// and the CSR pages it warms then stay node-local for the lifetime of the
-// world. This header answers exactly two questions, both deterministically:
-// which node does lane l of L belong to, and which CPU should host it.
+// PeerStore blocks a lane initializes and the CSR pages it warms then stay
+// node-local for the lifetime of the world. This header answers exactly two
+// questions, both deterministically: which node does lane l of L belong to,
+// and which CPU should host it.
 //
 // Probing order:
 //   1. libnuma, when the build found it (P2PAQP_HAVE_LIBNUMA) and

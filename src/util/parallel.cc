@@ -100,7 +100,7 @@ ThreadPool::ThreadPool(size_t num_threads, bool pin) {
   P2PAQP_CHECK_GT(num_threads, 0u);
   // On multi-socket hosts pinning engages automatically (P2PAQP_NUMA=0
   // opts out): without it the kernel migrates workers across nodes and the
-  // first-touch placement of PeerStore blocks / event-shard slabs is
+  // first-touch placement of PeerStore blocks and prefaulted CSR pages is
   // wasted. Single-node hosts keep pinning opt-in via `pin`.
   pin = pin || NumaPlacementEnabled();
   workers_.reserve(num_threads);

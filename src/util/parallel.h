@@ -54,8 +54,8 @@ bool InParallelWorker();
 //
 // With `pin` (or the P2PAQP_PIN_THREADS env knob) each worker is pinned to
 // one CPU at spawn: lane l of a static-partition region then always executes
-// on the same core, so the PeerStore blocks and event-shard arenas a lane
-// touches stay in that core's cache. On multi-socket hosts pinning engages
+// on the same core, so the PeerStore blocks and CSR pages a lane touches
+// stay in that core's cache. On multi-socket hosts pinning engages
 // automatically (unless P2PAQP_NUMA=0) and routes through
 // util::NumaTopology: lanes split into contiguous per-node groups, so the
 // pages a lane first-touches are allocated on the node that will keep
@@ -78,7 +78,7 @@ class ThreadPool {
 
   // Static-lane variant: exactly `lanes` tasks, and lane l > 0 runs on
   // worker l-1 (lane 0 runs on the caller) — no atomic claiming, so the
-  // lane -> thread mapping is identical on every call. The shard-affine
+  // lane -> thread mapping is identical on every call. The block-affine
   // partition for PeerStore block scans: lane l always touches the same
   // contiguous blocks with the same (possibly pinned) worker.
   void RunStatic(size_t lanes, const std::function<void(size_t)>& fn);
@@ -117,7 +117,7 @@ enum class Partition {
   // to fixed threads, so the index -> thread assignment is stable across
   // every region with the same (n, L). Used for PeerStore block loops: the
   // blocks a lane initializes are the blocks it later scans, keeping each
-  // shard's pages hot in one core's cache instead of strided across all of
+  // block's pages hot in one core's cache instead of strided across all of
   // them.
   kStatic,
 };

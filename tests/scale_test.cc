@@ -155,7 +155,7 @@ TEST(ScaleTest, MillionPeerCountIsBitIdenticalAcrossThreadCounts) {
   };
 
   core::AsyncQueryReport serial_report;
-  core::AsyncQueryReport sharded_report;
+  core::AsyncQueryReport four_thread_report;
   {
     ScopedThreads one("1");
     net::SimulatedNetwork world = network.Clone(777);
@@ -164,15 +164,15 @@ TEST(ScaleTest, MillionPeerCountIsBitIdenticalAcrossThreadCounts) {
   {
     ScopedThreads four("4");
     net::SimulatedNetwork world = network.Clone(777);
-    sharded_report = run(world);
+    four_thread_report = run(world);
   }
-  // The sharded event core and blocked oracles must not perturb a single
-  // bit of the execution: identical estimate, clock and event count.
-  EXPECT_EQ(serial_report.answer.estimate, sharded_report.answer.estimate);
+  // Four-thread block-parallel peer state and oracles must not perturb a
+  // single bit of the execution: identical estimate, clock and event count.
+  EXPECT_EQ(serial_report.answer.estimate, four_thread_report.answer.estimate);
   EXPECT_EQ(serial_report.answer.ci_half_width_95,
-            sharded_report.answer.ci_half_width_95);
-  EXPECT_EQ(serial_report.makespan_ms, sharded_report.makespan_ms);
-  EXPECT_EQ(serial_report.events, sharded_report.events);
+            four_thread_report.answer.ci_half_width_95);
+  EXPECT_EQ(serial_report.makespan_ms, four_thread_report.makespan_ms);
+  EXPECT_EQ(serial_report.events, four_thread_report.events);
 }
 
 }  // namespace
