@@ -142,13 +142,8 @@ class PhaseRuntime final : public net::StepHandler {
     }
     --hops_left_;
     const graph::NodeId holder = buf_.walker_current[w];
-    std::vector<graph::NodeId>& neighbors = buf_.neighbors;
-    network_->AliveNeighborsInto(holder, &neighbors);
-    // An adversarial token holder may forward only to colluding neighbors
-    // (walk hijack); the uniform draw below then picks among colluders.
-    if (net::AdversaryInjector* adversary = network_->adversary()) {
-      adversary->RestrictForwarding(holder, &neighbors);
-    }
+    const net::ForwardingView neighbors =
+        network_->ForwardingSet(holder, &buf_.neighbors);
     bool token_lost =
         !network_->IsAlive(holder) ||
         network_->peer(holder).incarnation() != buf_.walker_incarnation[w] ||
@@ -312,7 +307,7 @@ class PhaseRuntime final : public net::StepHandler {
     events_.ScheduleStepAfter(wait_ms, this, w);
   }
 
-  bool HasUntrippedAlternative(const std::vector<graph::NodeId>& neighbors,
+  bool HasUntrippedAlternative(const net::ForwardingView& neighbors,
                                graph::NodeId skip) const {
     for (graph::NodeId n : neighbors) {
       if (n != skip && !buf_.health.Tripped(n)) return true;

@@ -64,8 +64,9 @@ struct AsyncHotBuffers {
   // Per-selection local-scan scratch (sampled indices, measures, sampler
   // marks).
   query::LocalExecScratch exec;
-  // Per-hop live-neighbor buffer shared by all walkers (steps are serial on
-  // the event clock).
+  // Per-hop net::SimulatedNetwork::ForwardingSet scratch shared by all
+  // walkers (steps are serial on the event clock); filled only while a peer
+  // is down or an adversary plan is installed.
   std::vector<graph::NodeId> neighbors;
   // Sink-side reply dedup, one flag per selection_seq of the current phase.
   // A seq is issued to exactly one peer per collection round and tampering

@@ -48,11 +48,12 @@ util::Result<std::vector<sampling::PeerVisit>> BiasedWalkSampler::SamplePeers(
   size_t hops = 0;
   const size_t max_hops = 200 * count * jump_ + 2000;
   std::vector<double> weights;
+  std::vector<graph::NodeId> neighbors;
   while (visits.size() < count) {
     if (++hops > max_hops) {
       return util::Status::OutOfRange("biased walk exceeded hop budget");
     }
-    std::vector<graph::NodeId> neighbors = network_->AliveNeighbors(current);
+    network_->AliveNeighborsInto(current, &neighbors);
     if (neighbors.empty()) {
       if (current == sink) {
         return util::Status::Unavailable("sink is isolated");

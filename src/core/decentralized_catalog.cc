@@ -17,8 +17,9 @@ namespace {
 size_t OneReturnTime(net::SimulatedNetwork& network, graph::NodeId sink,
                      size_t max_hops, util::Rng& rng) {
   graph::NodeId current = sink;
+  std::vector<graph::NodeId> neighbors;
   for (size_t hops = 1; hops <= max_hops; ++hops) {
-    std::vector<graph::NodeId> neighbors = network.AliveNeighbors(current);
+    network.AliveNeighborsInto(current, &neighbors);
     if (neighbors.empty()) {
       if (current == sink) return 0;
       current = sink;  // Stranded: re-issue; the attempt keeps its count.

@@ -131,9 +131,11 @@ class NeighborRange {
     return *begin();
   }
 
-  // O(i + 1) decode from the block start; meant for single random probes
-  // (walk steps, audit slots), not for nested loops — copy into a vector
-  // for those (see graph/metrics.cc).
+  // O(i + 1) decode from the block start; meant for single random probes,
+  // not for nested loops — copy into a vector for those (see
+  // graph/metrics.cc). Its hot caller is net::ForwardingView::operator[]:
+  // on an all-alive world every walker hop of both engines draws its next
+  // peer here, straight off the CSR bytes.
   NodeId operator[](size_t i) const {
     P2PAQP_DCHECK(i < degree_) << i;
     iterator it = begin();

@@ -97,13 +97,9 @@ const Peer& SimulatedNetwork::peer(graph::NodeId id) const {
   return peers_[id];
 }
 
-Peer& SimulatedNetwork::mutable_peer(graph::NodeId id) {
-  P2PAQP_CHECK(id < peers_.size()) << id;
-  return peers_[id];
-}
-
 void SimulatedNetwork::SetAlive(graph::NodeId id, bool alive) {
-  Peer& p = mutable_peer(id);
+  P2PAQP_CHECK(id < peers_.size()) << id;
+  Peer& p = peers_[id];
   if (p.alive() == alive) return;
   p.set_alive(alive);
   num_alive_ += alive ? 1 : -1;
@@ -130,11 +126,24 @@ void SimulatedNetwork::AliveNeighborsInto(graph::NodeId id,
 }
 
 uint32_t SimulatedNetwork::AliveDegree(graph::NodeId id) const {
+  if (num_alive_ == peers_.size()) return graph_.degree(id);
   uint32_t deg = 0;
   for (graph::NodeId v : graph_.neighbors(id)) {
     if (peers_[v].alive()) ++deg;
   }
   return deg;
+}
+
+ForwardingView SimulatedNetwork::ForwardingSet(
+    graph::NodeId holder, std::vector<graph::NodeId>* scratch) {
+  if (num_alive_ == peers_.size() && !adversary_.has_value()) {
+    return ForwardingView(graph_.neighbors(holder));
+  }
+  AliveNeighborsInto(holder, scratch);
+  // An adversarial token holder may forward only to colluding neighbors
+  // (walk hijack); the walker's uniform draw then picks among colluders.
+  if (adversary_.has_value()) adversary_->RestrictForwarding(holder, scratch);
+  return ForwardingView(scratch);
 }
 
 util::Status SimulatedNetwork::InstallDatabases(

@@ -8,6 +8,8 @@
 #ifndef P2PAQP_NET_NETWORK_H_
 #define P2PAQP_NET_NETWORK_H_
 
+#include <cstddef>
+#include <iterator>
 #include <optional>
 #include <vector>
 
@@ -37,6 +39,84 @@ struct NetworkParams {
   // serial default — existing seeded worlds depend on the serial draw
   // order, so only new scale-tier worlds opt in).
   bool parallel_peer_init = false;
+};
+
+// The peers a walker token at one holder may be forwarded to, in ascending
+// id order: the holder's alive neighbours, narrowed to its colluders when a
+// hijacking adversary holds the token. Built by
+// SimulatedNetwork::ForwardingSet, in one of two forms:
+//   * the holder's CSR list as is, while no peer is down and no adversary
+//     plan is installed — no liveness probe at all, and `[k]` decodes only
+//     up to k (graph::NeighborRange);
+//   * otherwise a list materialised into the caller's scratch vector.
+// Valid until that scratch vector is next reused.
+class ForwardingView {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = graph::NodeId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const graph::NodeId*;
+    using reference = graph::NodeId;
+
+    iterator() = default;
+
+    graph::NodeId operator*() const {
+      return listed_ != nullptr ? *listed_ : *csr_;
+    }
+    iterator& operator++() {
+      if (listed_ != nullptr) {
+        ++listed_;
+      } else {
+        ++csr_;
+      }
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator copy = *this;
+      ++*this;
+      return copy;
+    }
+    friend bool operator==(const iterator& a, const iterator& b) {
+      return a.listed_ == b.listed_ && a.csr_ == b.csr_;
+    }
+
+   private:
+    friend class ForwardingView;
+    iterator(graph::NeighborRange::iterator csr, const graph::NodeId* listed)
+        : csr_(csr), listed_(listed) {}
+
+    graph::NeighborRange::iterator csr_;
+    const graph::NodeId* listed_ = nullptr;
+  };
+
+  size_t size() const {
+    return listed_ != nullptr ? listed_->size() : csr_.size();
+  }
+  bool empty() const { return size() == 0; }
+
+  graph::NodeId operator[](size_t k) const {
+    return listed_ != nullptr ? (*listed_)[k] : csr_[k];
+  }
+
+  iterator begin() const {
+    return listed_ != nullptr ? iterator({}, listed_->data())
+                              : iterator(csr_.begin(), nullptr);
+  }
+  iterator end() const {
+    return listed_ != nullptr ? iterator({}, listed_->data() + listed_->size())
+                              : iterator(csr_.end(), nullptr);
+  }
+
+ private:
+  friend class SimulatedNetwork;
+  explicit ForwardingView(graph::NeighborRange csr) : csr_(csr) {}
+  explicit ForwardingView(const std::vector<graph::NodeId>* listed)
+      : listed_(listed) {}
+
+  graph::NeighborRange csr_;
+  const std::vector<graph::NodeId>* listed_ = nullptr;
 };
 
 class SimulatedNetwork {
@@ -84,11 +164,12 @@ class SimulatedNetwork {
   size_t num_alive() const { return num_alive_; }
 
   const Peer& peer(graph::NodeId id) const;
-  Peer& mutable_peer(graph::NodeId id);
 
   bool IsAlive(graph::NodeId id) const { return peers_[id].alive(); }
   // Marks a peer as departed/re-joined (Gnutella-style churn: connections of
   // a dead peer are simply unusable until it returns). Updates num_alive().
+  // The only way liveness changes: ForwardingSet and AliveDegree trust
+  // num_alive() == num_peers() to mean "no peer is down".
   void SetAlive(graph::NodeId id, bool alive);
 
   // Neighbors of `id` that are currently alive.
@@ -101,7 +182,16 @@ class SimulatedNetwork {
                           std::vector<graph::NodeId>* out) const;
 
   // Degree counting only alive neighbors — what a live walker observes.
+  // O(1) (the CSR degree header) while no peer is down.
   uint32_t AliveDegree(graph::NodeId id) const;
+
+  // Where a walker token at `holder` may go next (see ForwardingView): the
+  // CSR list while no peer is down and no adversary plan is installed,
+  // otherwise AliveNeighborsInto(`scratch`) narrowed by
+  // AdversaryInjector::RestrictForwarding. Both walkers draw their next hop
+  // as one UniformIndex(size()) over this view.
+  ForwardingView ForwardingSet(graph::NodeId holder,
+                               std::vector<graph::NodeId>* scratch);
 
   // Replaces all local databases (index = NodeId).
   util::Status InstallDatabases(std::vector<data::LocalDatabase> databases);

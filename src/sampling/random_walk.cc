@@ -72,14 +72,10 @@ util::Result<graph::NodeId> RandomWalk::Step(graph::NodeId current,
   if (params_.variant == WalkVariant::kLazy && rng.Bernoulli(0.5)) {
     return current;  // Lazy self-loop: no traffic.
   }
-  std::vector<graph::NodeId>& neighbors = neighbor_scratch_;
-  network_->AliveNeighborsInto(current, &neighbors);
-  // An adversarial token holder may forward only to colluding neighbors
-  // (walk hijack); the uniform draw below then picks among colluders. One
-  // draw is consumed either way, so adversary-free runs are untouched.
-  if (net::AdversaryInjector* adversary = network_->adversary()) {
-    adversary->RestrictForwarding(current, &neighbors);
-  }
+  // One uniform draw over the forwarding set, hijacked or not, so
+  // adversary-free runs consume the same stream.
+  const net::ForwardingView neighbors =
+      network_->ForwardingSet(current, &neighbor_scratch_);
   if (neighbors.empty()) {
     return util::Status::Unavailable("walker stranded: no live neighbors");
   }

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "graph/builder.h"
+#include "io/world_io.h"
 #include "net/churn.h"
 #include "net/history.h"
 #include "net/network.h"
 #include "net/protocol.h"
+#include "topology/factory.h"
 #include "verify/protocol/history_checker.h"
 
 namespace p2paqp::net {
@@ -372,6 +378,163 @@ TEST(ChurnTest, RunOnEventQueueTicksWhileWorkIsPending) {
   EXPECT_LT(network.num_alive(), 100u);
   EXPECT_TRUE(network.IsAlive(0));
 }
+
+// --- Forwarding view -----------------------------------------------------
+// Both walkers draw their next hop from SimulatedNetwork::ForwardingSet,
+// which skips every liveness probe while num_alive() == num_peers(). These
+// tests pin it to the materialised set it replaced (AliveNeighborsInto,
+// then the adversary's RestrictForwarding) on worlds with hub-sized
+// degrees, and pin num_alive() — the shortcut's only input — to a
+// brute-force count across every path that changes liveness.
+
+SimulatedNetwork MakeWorld(topology::TopologyKind kind, uint64_t seed) {
+  topology::TopologyConfig config;
+  config.kind = kind;
+  config.num_nodes = 1500;
+  config.num_edges = 3300;
+  util::Rng rng(seed);
+  auto topo = topology::MakeTopology(config, rng);
+  EXPECT_TRUE(topo.ok()) << topo.status().ToString();
+  auto network = SimulatedNetwork::Make(std::move(topo->graph), {},
+                                        NetworkParams{}, seed);
+  EXPECT_TRUE(network.ok());
+  return std::move(*network);
+}
+
+size_t CountAlive(const SimulatedNetwork& network) {
+  size_t alive = 0;
+  for (graph::NodeId v = 0; v < network.num_peers(); ++v) {
+    if (network.IsAlive(v)) ++alive;
+  }
+  return alive;
+}
+
+// Every holder's view against the materialised forwarding set, element by
+// element, by index and by iteration; and AliveDegree against the alive
+// neighbour count. While no peer is down and no adversary is installed the
+// view must be the CSR list, leaving the caller's scratch untouched.
+void ExpectViewMatches(SimulatedNetwork& network, const std::string& state) {
+  SCOPED_TRACE(state);
+  ASSERT_EQ(network.num_alive(), CountAlive(network));
+  const bool csr_path = network.num_alive() == network.num_peers() &&
+                        network.adversary() == nullptr;
+  std::vector<graph::NodeId> scratch;
+  std::vector<graph::NodeId> expected;
+  for (graph::NodeId h = 0; h < network.num_peers(); ++h) {
+    scratch.assign(1, graph::kInvalidNode);
+    ForwardingView view = network.ForwardingSet(h, &scratch);
+    network.AliveNeighborsInto(h, &expected);
+    if (AdversaryInjector* adversary = network.adversary()) {
+      adversary->RestrictForwarding(h, &expected);
+    }
+    ASSERT_EQ(view.size(), expected.size()) << "holder " << h;
+    ASSERT_EQ(view.empty(), expected.empty()) << "holder " << h;
+    for (size_t k = 0; k < expected.size(); ++k) {
+      ASSERT_EQ(view[k], expected[k]) << "holder " << h << " slot " << k;
+    }
+    EXPECT_EQ(std::vector<graph::NodeId>(view.begin(), view.end()), expected)
+        << "holder " << h;
+    if (csr_path) {
+      EXPECT_EQ(scratch, std::vector<graph::NodeId>{graph::kInvalidNode})
+          << "holder " << h << ": all-alive view touched the scratch";
+    }
+    EXPECT_EQ(network.AliveDegree(h), network.AliveNeighbors(h).size())
+        << "holder " << h;
+  }
+}
+
+class ForwardingViewTest
+    : public ::testing::TestWithParam<topology::TopologyKind> {};
+
+TEST_P(ForwardingViewTest, MatchesAliveNeighborsThroughDeathAndRejoin) {
+  SimulatedNetwork network = MakeWorld(GetParam(), 21);
+  ASSERT_GT(network.graph().max_degree(), 40u);  // Hub-sized holders.
+  ExpectViewMatches(network, "all alive");
+  util::Rng rng(5);
+  for (graph::NodeId v = 0; v < network.num_peers(); ++v) {
+    if (rng.Bernoulli(0.2)) network.SetAlive(v, false);
+  }
+  ASSERT_LT(network.num_alive(), network.num_peers());
+  ExpectViewMatches(network, "after random departures");
+  for (graph::NodeId v = 0; v < network.num_peers(); ++v) {
+    network.SetAlive(v, true);
+  }
+  ASSERT_EQ(network.num_alive(), network.num_peers());
+  ExpectViewMatches(network, "after every peer rejoined");
+}
+
+TEST_P(ForwardingViewTest, MatchesHijackRestriction) {
+  SimulatedNetwork network = MakeWorld(GetParam(), 22);
+  AdversaryPlan plan;
+  plan.adversary_fraction = 0.3;
+  plan.hijack_walk = true;
+  network.InstallAdversaryPlan(plan, 17);
+  ASSERT_NE(network.adversary(), nullptr);
+  ExpectViewMatches(network, "hijack, all alive");
+  EXPECT_GT(network.adversary()->hops_hijacked(), 0u);
+  util::Rng rng(6);
+  for (graph::NodeId v = 0; v < network.num_peers(); ++v) {
+    if (rng.Bernoulli(0.2)) network.SetAlive(v, false);
+  }
+  ExpectViewMatches(network, "hijack after random departures");
+}
+
+TEST_P(ForwardingViewTest, NumAliveMatchesBruteForceCount) {
+  SimulatedNetwork network = MakeWorld(GetParam(), 23);
+  ChurnParams churn_params;
+  churn_params.leave_probability = 0.2;
+  churn_params.rejoin_probability = 0.4;
+  ChurnModel churn(churn_params, 31);
+  for (int epoch = 0; epoch < 5; ++epoch) {
+    churn.Step(network);
+    ASSERT_EQ(network.num_alive(), CountAlive(network)) << "epoch " << epoch;
+  }
+
+  FaultPlan faults;
+  faults.crash_probability = 0.05;
+  network.InstallFaultPlan(faults, 41);
+  util::Rng rng(7);
+  size_t crashes_seen = 0;
+  std::vector<graph::NodeId> scratch;
+  for (int send = 0; send < 2000; ++send) {
+    auto from = static_cast<graph::NodeId>(
+        rng.UniformIndex(network.num_peers()));
+    if (!network.IsAlive(from)) continue;
+    network.AliveNeighborsInto(from, &scratch);
+    if (scratch.empty()) continue;
+    graph::NodeId to = scratch[rng.UniformIndex(scratch.size())];
+    const size_t before = network.num_alive();
+    network.SendAlongEdge(MessageType::kWalker, from, to).ok();
+    network.SendDirect(MessageType::kAggregateReply, to, from).ok();
+    crashes_seen += before - network.num_alive();
+    ASSERT_EQ(network.num_alive(), CountAlive(network)) << "send " << send;
+  }
+  EXPECT_GT(crashes_seen, 0u);
+  ExpectViewMatches(network, "after crash-fault sends");
+
+  SimulatedNetwork clone = network.Clone(99);
+  EXPECT_EQ(clone.num_alive(), CountAlive(clone));
+  EXPECT_EQ(clone.num_alive(), network.num_alive());
+  ExpectViewMatches(clone, "clone");
+
+  const std::string path =
+      ::testing::TempDir() + "/net_test_forwarding_world.p2pw";
+  ASSERT_TRUE(io::SaveWorld(path, network).ok());
+  auto loaded = io::LoadWorld(path, NetworkParams{}, 3);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_LT(loaded->num_alive(), loaded->num_peers());
+  EXPECT_EQ(loaded->num_alive(), CountAlive(*loaded));
+  EXPECT_EQ(loaded->num_alive(), network.num_alive());
+  ExpectViewMatches(*loaded, "loaded world with dead peers");
+}
+
+INSTANTIATE_TEST_SUITE_P(Worlds, ForwardingViewTest,
+                         ::testing::Values(topology::TopologyKind::kPowerLaw,
+                                           topology::TopologyKind::kSuperPeer),
+                         [](const auto& info) {
+                           return topology::TopologyKindToString(info.param);
+                         });
 
 }  // namespace
 }  // namespace p2paqp::net
