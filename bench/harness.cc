@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/env.h"
 #include "util/parallel.h"
 
 namespace p2paqp::bench {
@@ -312,9 +313,7 @@ core::SystemCatalog CatalogFor(const World& world, const RunConfig& config) {
 }  // namespace
 
 double ScaleFactor() {
-  const char* env = std::getenv("P2PAQP_SCALE");
-  if (env == nullptr) return 1.0;
-  double scale = std::atof(env);
+  const double scale = util::EnvDecimal("P2PAQP_SCALE").value_or(1.0);
   return scale > 0.0 ? scale : 1.0;
 }
 

@@ -4,11 +4,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <utility>
 
 #include "util/alloc_guard.h"
-#include "util/bug_injection.h"
 
 namespace p2paqp::core {
 
@@ -40,22 +38,22 @@ void FoldWinsorized(double* mean, size_t* samples, double x) {
 // allocation (AllocGuard-measured by RunPhase, gated by tools/bench_gate.py).
 class PhaseRuntime final : public net::StepHandler {
  public:
-  PhaseRuntime(net::SimulatedNetwork* network, const AsyncParams& params,
+  PhaseRuntime(const PlanContext& ctx, const AsyncParams& params,
                net::EventQueue& events, const query::AggregateQuery& query,
-               graph::NodeId sink, size_t count, util::Rng& rng,
-               net::HistoryRecorder* history, uint64_t dedup_round,
-               AsyncHotBuffers& buffers,
-               std::vector<PeerObservation>& observations, double deadline_ms)
-      : network_(network),
+               size_t count, util::Rng& rng, AsyncHotBuffers& buffers,
+               std::vector<PeerObservation>& observations,
+               TwoPhaseEngine::CollectionStats& stats, double deadline_ms)
+      : network_(ctx.network),
         params_(params),
+        ctx_(ctx),
         events_(events),
         query_(query),
-        sink_(sink),
+        sink_(ctx.sink),
         rng_(rng),
-        history_(history),
-        dedup_round_(dedup_round),
+        history_(ctx.network->history()),
         buf_(buffers),
         observations_(observations),
+        stats_(stats),
         deadline_(deadline_ms),
         hops_left_(100 * (params.walk.burn_in * params.walkers +
                           count * params.walk.jump) +
@@ -103,17 +101,6 @@ class PhaseRuntime final : public net::StepHandler {
     }
   }
 
-  size_t restarts = 0;
-  size_t retransmits = 0;
-  size_t selections = 0;
-  size_t duplicates = 0;
-  size_t hedges = 0;
-  size_t straggler_skips = 0;
-  // Latches once the event clock reaches the query deadline: walker steps
-  // stop scheduling new work and later-than-deadline replies are discarded,
-  // so the queue drains naturally instead of being truncated (the ledger
-  // and the reply arena still balance).
-  bool deadline_hit = false;
   // When the sink last learned something it needed: the latest accepted
   // reply or final walker termination. The queue keeps draining past this
   // instant (losing hedge copies, deduped replays), but that drain is
@@ -130,7 +117,7 @@ class PhaseRuntime final : public net::StepHandler {
     if (events_.now() >= deadline_) {
       // Anytime semantics: no new walker work at or past the deadline.
       // In-flight replies drain on their own (and are dropped on arrival).
-      deadline_hit = true;
+      stats_.deadline_hit = true;
       WalkerDone();
       return;
     }
@@ -243,7 +230,7 @@ class PhaseRuntime final : public net::StepHandler {
       return;
     }
     --restarts_left_;
-    ++restarts;
+    ++stats_.walk_restarts;
     buf_.walker_current[w] = sink_;
     buf_.walker_incarnation[w] = network_->peer(sink_).incarnation();
     buf_.walker_burn_left[w] = params_.walk.burn_in;
@@ -283,7 +270,7 @@ class PhaseRuntime final : public net::StepHandler {
   void ForkPastStraggler(uint32_t w, graph::NodeId holder, graph::NodeId next,
                          bool token_sent, double transit_ms, double wait_ms,
                          bool selection_due) {
-    ++straggler_skips;
+    ++stats_.straggler_skips;
     if (history_ != nullptr) {
       history_->Record(net::HistoryEventKind::kStragglerSkip,
                        net::MessageType::kWalker, holder, next);
@@ -344,61 +331,43 @@ class PhaseRuntime final : public net::StepHandler {
   }
 
   // One selected peer: scan locally (scan-time delay), then the reply races
-  // back to the sink over direct IP (half-hop delay, like SendDirect). A
-  // reply lost to faults is retransmitted after a sink-side timeout (each
-  // attempt adds its own wire delay, plus the policy's backoff wait when
-  // one is configured); a crashed endpoint cannot retry and the observation
-  // is lost. `extra_reply_delay_ms` is the tardy inbound token transit: the
+  // back to the sink over direct IP (the transit SendDirect draws). A reply
+  // lost to faults is retransmitted after a sink-side timeout (each attempt
+  // adds its own wire delay, plus the policy's backoff wait when one is
+  // configured); a crashed endpoint cannot retry and the observation is
+  // lost. `extra_reply_delay_ms` is the tardy inbound token transit: the
   // peer cannot scan before the token reaches it.
   void SelectPeer(graph::NodeId peer, double extra_reply_delay_ms = 0.0) {
-    query::LocalAggregate aggregate = query::ExecuteLocal(
-        network_->peer(peer).database(), query_,
-        query::SubSamplePolicy{.t = params_.engine.tuples_per_peer,
-                               .mode = params_.engine.subsample_mode,
-                               .block_size = params_.engine.block_size},
-        rng_, &buf_.exec);
-    network_->cost().RecordPeerVisit();
-    network_->cost().RecordTuplesScanned(aggregate.processed_tuples);
-    network_->cost().RecordTuplesSampled(aggregate.processed_tuples);
-    double scan_ms =
-        network_->LocalScanLatency(peer, aggregate.processed_tuples);
-    PeerObservation obs;
-    obs.peer = peer;
-    obs.degree = network_->AliveDegree(peer);
-    obs.stationary_weight = static_cast<double>(obs.degree);
-    obs.aggregate = aggregate;
-    obs.selection_seq = selections++;
-    // Adversarial tampering happens at the sender: misreported degree,
-    // corrupted aggregates, and possibly replayed duplicate copies.
-    size_t replays = TamperObservation(network_->adversary(), &obs);
+    const uint32_t degree = network_->AliveDegree(peer);
+    PeerObservation obs{.peer = peer,
+                        .degree = degree,
+                        .stationary_weight = static_cast<double>(degree),
+                        .aggregate = {},
+                        .selection_seq = selections_++};
+    const ObservedPeer observed =
+        ObservePeer(ctx_, query_, /*cache=*/nullptr, rng_, &buf_.exec, &obs);
+    // One reply copy on the wire: the transit SendDirect drew is added to
+    // `*arrival_ms`, delivered or not.
+    auto send_copy = [this, peer](double* arrival_ms) {
+      double transit_ms = 0.0;
+      const bool ok = network_
+                          ->SendDirect(net::MessageType::kAggregateReply, peer,
+                                       sink_, /*extra_payload_bytes=*/0,
+                                       /*batch=*/1, &transit_ms)
+                          .ok();
+      *arrival_ms += transit_ms;
+      return ok;
+    };
     const net::StragglerPolicy& sp = params_.engine.straggler;
-    double delay = scan_ms + extra_reply_delay_ms;
-    bool delivered = false;
-    for (size_t attempt = 0; attempt <= params_.engine.reply_retransmits;
-         ++attempt) {
-      if (attempt > 0) {
-        ++retransmits;
-        double wait = net::RetryBackoffMs(sp, attempt, rng_);
-        if (wait > 0.0) {
+    double delay = observed.scan_ms + extra_reply_delay_ms;
+    const bool delivered = TransmitReply(
+        ctx_, peer, /*batch=*/1, rng_, &stats_.reply_retransmits,
+        [&](double wait_ms) {
           // The retry leaves at its actual (jittered) schedule time: the
-          // backoff wait lands in the cost ledger and in the copy's
-          // arrival delay, not just in the history trace.
-          delay += wait;
-          network_->cost().RecordLatency(wait);
-        }
-        if (history_ != nullptr) {
-          history_->Record(net::HistoryEventKind::kTimeout,
-                           net::MessageType::kAggregateReply, peer, sink_);
-          history_->Record(net::HistoryEventKind::kRetransmit,
-                           net::MessageType::kAggregateReply, peer, sink_);
-        }
-      }
-      if (SendReplyCopy(peer, &delay)) {
-        delivered = true;
-        break;
-      }
-      if (!network_->IsAlive(peer) || !network_->IsAlive(sink_)) break;
-    }
+          // backoff wait lands in the copy's arrival delay too.
+          delay += wait_ms;
+          return send_copy(&delay);
+        });
     if (sp.health_tracking) buf_.health.Record(peer, delay, delivered);
     if (delivered) {
       FoldWinsorized(&reply_ewma_, &reply_samples_, delay);
@@ -411,20 +380,12 @@ class PhaseRuntime final : public net::StepHandler {
       if (sp.hedged_replies) {
         const double hedge_due = HedgeDueMs();
         if (delay > hedge_due) {
-          ++hedges;
-          if (history_ != nullptr) {
-            const uint64_t tag =
-                net::DedupTag(dedup_round_, peer, obs.selection_seq);
-            history_->Record(net::HistoryEventKind::kHedgeDue,
-                             net::MessageType::kAggregateReply, peer, sink_);
-            history_->Record(net::HistoryEventKind::kHedge,
-                             net::MessageType::kAggregateReply, peer, sink_,
-                             1, tag);
-          }
+          ++stats_.hedges;
+          buf_.dedup.RecordHedge(peer, obs.selection_seq);
           // The duplicate is served from the peer's already-computed scan:
           // it departs when the hedge timer fires, no second scan charge.
           double hedge_delay = hedge_due;
-          if (SendReplyCopy(peer, &hedge_delay)) {
+          if (send_copy(&hedge_delay)) {
             DeliverReply(obs, hedge_delay);
           }
         }
@@ -434,39 +395,12 @@ class PhaseRuntime final : public net::StepHandler {
     // arrives after the original is deduped; if the original was lost, the
     // first surviving copy is accepted (indistinguishable from a
     // retransmit).
-    for (size_t replay = 0; replay < replays; ++replay) {
+    for (size_t replay = 0; replay < observed.replays; ++replay) {
       if (!network_->IsAlive(peer) || !network_->IsAlive(sink_)) break;
       double copy_delay = delay;
-      if (!SendReplyCopy(peer, &copy_delay)) continue;
+      if (!send_copy(&copy_delay)) continue;
       DeliverReply(obs, copy_delay);
     }
-  }
-
-  // Charges one reply copy and resolves its fate in the ledger/history,
-  // exactly like SimulatedNetwork's transport does for routed sends.
-  bool SendReplyCopy(graph::NodeId peer, double* delay) {
-    network_->cost().RecordMessage(
-        net::DefaultPayloadBytes(net::MessageType::kAggregateReply));
-    if (history_ != nullptr) {
-      history_->Record(net::HistoryEventKind::kSend,
-                       net::MessageType::kAggregateReply, peer, sink_);
-    }
-    net::FaultDecision faults = network_->ApplyFaults(
-        net::MessageType::kAggregateReply, peer, sink_, peer);
-    *delay += network_->DrawHopLatency() * 0.5 + faults.extra_latency_ms;
-    bool ok = faults.deliver && network_->IsAlive(peer) &&
-              network_->IsAlive(sink_);
-    if (ok) {
-      network_->cost().RecordDelivered();
-    } else {
-      network_->cost().RecordDropped();
-    }
-    if (history_ != nullptr) {
-      history_->Record(ok ? net::HistoryEventKind::kDeliver
-                          : net::HistoryEventKind::kDrop,
-                       net::MessageType::kAggregateReply, peer, sink_);
-    }
-    return ok;
   }
 
   // One reply copy racing to the sink. The payload parks in the session's
@@ -481,8 +415,8 @@ class PhaseRuntime final : public net::StepHandler {
                           [self, handle]() { self->ReplyArrived(handle); });
   }
 
-  // Sink-side arrival: dedup on selection_seq, so only the first copy of a
-  // selection is ever counted.
+  // Sink-side arrival: a copy later than the deadline is lost; otherwise
+  // the round's dedup table keeps only the first copy of a selection.
   void ReplyArrived(net::ArenaHandle handle) {
     const PeerObservation reply = buf_.reply_arena.at(handle);
     buf_.reply_arena.Release(handle);
@@ -494,54 +428,40 @@ class PhaseRuntime final : public net::StepHandler {
       // hedge-accounting rule. Only a copy the sink still *needed* latches
       // the deadline flag — a losing hedge duplicate straggling in after
       // its primary was accepted curtailed nothing.
-      if (buf_.seen_seq[reply.selection_seq] == 0) deadline_hit = true;
+      if (!buf_.dedup.seen(reply.selection_seq)) stats_.deadline_hit = true;
       if (history_ != nullptr) {
         history_->Record(net::HistoryEventKind::kExpire,
                          net::MessageType::kAggregateReply, reply.peer, sink_,
-                         1,
-                         net::DedupTag(dedup_round_, reply.peer,
-                                       reply.selection_seq));
+                         1, buf_.dedup.Tag(reply.peer, reply.selection_seq));
       }
       return;
     }
-    const uint64_t tag =
-        net::DedupTag(dedup_round_, reply.peer, reply.selection_seq);
-    P2PAQP_DCHECK(reply.selection_seq < buf_.seen_seq.size());
-    const bool duplicate = buf_.seen_seq[reply.selection_seq] != 0;
-    buf_.seen_seq[reply.selection_seq] = 1;
-    if (duplicate && !util::BugArmed(util::InjectedBug::kDisableReplyDedup)) {
-      ++duplicates;  // Replayed copy: dropped at the sink.
-      if (history_ != nullptr) {
-        history_->Record(net::HistoryEventKind::kDedupDrop,
-                         net::MessageType::kAggregateReply, reply.peer, sink_,
-                         1, tag);
-      }
-      return;
-    }
+    if (!buf_.dedup.Arrive(reply)) return;
     observations_.push_back(reply);  // Reply reached the sink.
     if (events_.now() > done_ms) done_ms = events_.now();
-    if (history_ != nullptr) {
-      history_->Record(net::HistoryEventKind::kDedupAccept,
-                       net::MessageType::kAggregateReply, reply.peer, sink_,
-                       1, tag);
-    }
   }
 
   net::SimulatedNetwork* network_;
   const AsyncParams& params_;
+  const PlanContext ctx_;
   net::EventQueue& events_;
   const query::AggregateQuery& query_;
   const graph::NodeId sink_;
   util::Rng& rng_;
   net::HistoryRecorder* history_;
-  const uint64_t dedup_round_;
   AsyncHotBuffers& buf_;
   std::vector<PeerObservation>& observations_;
+  // The round's counters. deadline_hit latches once the event clock reaches
+  // the deadline: walker steps stop scheduling new work and later replies
+  // are discarded, so the queue drains naturally instead of being truncated
+  // (the ledger and the reply arena still balance).
+  TwoPhaseEngine::CollectionStats& stats_;
   const double deadline_;  // Absolute event-clock instant; +inf = none.
   size_t hops_left_;       // Global hop budget across all walkers.
   size_t restarts_left_;   // Global token-restart budget.
   size_t active_walkers_ = 0;
   size_t pending_replies_ = 0;
+  size_t selections_ = 0;
   // Adaptive-budget state (Walk-Not-Wait and hedging), warmed by the first
   // few observed transits/replies of the query itself.
   double hop_ewma_ = 0.0;
@@ -568,8 +488,6 @@ util::Result<std::vector<PeerObservation>> AsyncQuerySession::RunPhase(
     graph::NodeId sink, size_t count, util::Rng& rng,
     TwoPhaseEngine::CollectionStats* stats, uint64_t* drain_allocs,
     double deadline_ms) {
-  net::HistoryRecorder* history = network_->history();
-  const uint64_t dedup_round = history != nullptr ? history->NextRound() : 0;
   // The queue's clock is monotone across phases (a fresh phase starts where
   // the previous drain ended), so the phase-relative deadline budget is
   // rebased to an absolute instant here and all phase timing is measured
@@ -586,7 +504,7 @@ util::Result<std::vector<PeerObservation>> AsyncQuerySession::RunPhase(
   // here keeps the arrival-side push_backs allocation-free.
   std::vector<PeerObservation> observations;
   observations.reserve(count);
-  buffers_.seen_seq.assign(count, 0);
+  buffers_.dedup.Open(network_, sink, count);
   buffers_.neighbors.reserve(network_->graph().max_degree());
   buffers_.walker_current.clear();
   buffers_.walker_burn_left.clear();
@@ -608,9 +526,13 @@ util::Result<std::vector<PeerObservation>> AsyncQuerySession::RunPhase(
   buffers_.reply_arena.Reserve(reply_slots + 16);
   events.Reserve(params_.walkers + reply_slots + 16);
 
-  PhaseRuntime runtime(network_, params_, events, query, sink, count, rng,
-                       history, dedup_round, buffers_, observations,
-                       deadline_abs);
+  *stats = TwoPhaseEngine::CollectionStats{};
+  stats->requested = count;
+  PhaseRuntime runtime(
+      PlanContext{network_, params_.engine, sink,
+                  catalog_.total_degree_weight()},
+      params_, events, query, count, rng, buffers_, observations, *stats,
+      deadline_abs);
   runtime.Launch(count);
 
   // Mid-query churn rides the same event clock, stepping while the phase
@@ -625,31 +547,17 @@ util::Result<std::vector<PeerObservation>> AsyncQuerySession::RunPhase(
   events.RunUntilEmpty();
   if (drain_allocs != nullptr) *drain_allocs += alloc_guard.allocations();
 
-  const size_t delivered = observations.size();
-  // A deadline-curtailed phase waives the quorum: the caller returns an
-  // anytime answer with a widened CI instead of failing the query.
-  if (count > 0 && delivered < ObservationQuorum(params_.engine, count) &&
-      !runtime.deadline_hit &&
-      !util::BugArmed(util::InjectedBug::kSkipQuorumCheck)) {
-    return util::Status::Unavailable(
-        "async observation quorum not met: " + std::to_string(delivered) +
-        "/" + std::to_string(count) + " delivered");
-  }
-  stats->requested = count;
-  stats->delivered = delivered;
-  stats->lost = count - delivered;
-  stats->reply_retransmits = runtime.retransmits;
-  stats->walk_restarts = runtime.restarts;
-  stats->duplicate_replies = runtime.duplicates;
-  stats->hedges = runtime.hedges;
-  stats->straggler_skips = runtime.straggler_skips;
-  stats->deadline_hit = runtime.deadline_hit;
+  stats->duplicate_replies = buffers_.dedup.duplicates();
   // A deadline-curtailed phase answers exactly when its budget runs out;
   // otherwise the clock stops at the last needed arrival, not at the
   // post-answer drain of losing duplicate copies.
-  stats->elapsed_ms = runtime.deadline_hit
+  stats->elapsed_ms = stats->deadline_hit
                           ? deadline_ms
                           : std::max(runtime.done_ms, phase_start) - phase_start;
+  // A deadline-curtailed phase waives the quorum: the caller returns an
+  // anytime answer with a widened CI instead of failing the query.
+  util::Status closed = CloseRound(params_.engine, observations.size(), stats);
+  if (!closed.ok()) return closed;
   return observations;
 }
 

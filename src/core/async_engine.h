@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/reply_path.h"
 #include "core/two_phase.h"
 #include "net/arena.h"
 #include "net/churn.h"
@@ -68,12 +69,9 @@ struct AsyncHotBuffers {
   // walkers (steps are serial on the event clock); filled only while a peer
   // is down or an adversary plan is installed.
   std::vector<graph::NodeId> neighbors;
-  // Sink-side reply dedup, one flag per selection_seq of the current phase.
-  // A seq is issued to exactly one peer per collection round and tampering
-  // never rewrites reply identity, so the paper's (peer, selection_seq) tag
-  // collapses to the seq alone — a flat byte per selection instead of an
-  // ordered set of pairs.
-  std::vector<uint8_t> seen_seq;
+  // Sink-side reply dedup of the current phase (core/reply_path.h), opened
+  // per phase before the drain so arrivals never grow it.
+  ReplyDedup dedup;
   // Walker state, struct-of-arrays: the batched step kernel walks these
   // linearly and prefetches the *next* walkers' adjacency while decoding the
   // current one's (graph::Graph::PrefetchOffset/PrefetchNeighbors).
@@ -110,12 +108,10 @@ class AsyncQuerySession {
  private:
   // Runs one phase: `count` selections spread over the walkers; returns the
   // collected observations and completes when the last reply arrives. This
-  // is the collection round RunTwoPhasePlan drives. Fault-tolerant like
-  // TwoPhaseEngine::CollectObservations: lost walker tokens are re-issued by
-  // the sink with a fresh burn-in, lost replies are retransmitted, and
-  // residual losses are reported through `stats` — hard-failing only below
-  // engine.min_observation_quorum. Allocations made while the event loop
-  // drains are added to `*drain_allocs`.
+  // is the collection round RunTwoPhasePlan drives, over the shared reply
+  // path (core/reply_path.h); lost walker tokens are re-issued by the sink
+  // with a fresh burn-in. Allocations made while the event loop drains are
+  // added to `*drain_allocs`.
   //
   // `deadline_ms` is the query deadline budget REMAINING at phase start
   // (+inf = none): walker steps at or past it stop scheduling work, replies

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/reply_path.h"
 #include "query/local_executor.h"
 #include "util/bug_injection.h"
 
@@ -98,12 +99,11 @@ util::Status QueryScheduler::EnsureFrame(size_t needed, graph::NodeId sink,
 
 void QueryScheduler::CollectRange(std::vector<QueryState>& states,
                                   size_t first, size_t last,
-                                  graph::NodeId sink, bool phase2,
+                                  const PlanContext& ctx, bool phase2,
                                   util::Rng& rng) {
-  net::AdversaryInjector* adversary = network_->adversary();
-  const size_t retransmits = params_.engine.reply_retransmits;
   std::vector<size_t> active;
   std::vector<PeerObservation> pending;
+  query::LocalExecScratch scratch;
   for (size_t idx = first; idx < last && idx < frame_.selections.size();
        ++idx) {
     const sampling::PeerVisit& visit = frame_.selections[idx];
@@ -120,77 +120,40 @@ void QueryScheduler::CollectRange(std::vector<QueryState>& states,
     if (!network_->IsAlive(visit.peer)) continue;
     const auto batch_width = static_cast<uint32_t>(active.size());
     // Per-query local execution, answered from the shared FreshnessCache
-    // when the (peer, query-signature) pair was computed recently.
+    // when the (peer, query-signature) pair was computed recently. Degree/
+    // value lies follow the batched reply exactly as they follow the
+    // per-query one; replayed duplicates are dropped by the sink's
+    // (query, peer, seq) tag dedup and only waste adversary bandwidth, so
+    // they are not modeled on this path.
     pending.clear();
     for (size_t q : active) {
-      QueryState& state = states[q];
-      PeerObservation obs;
-      obs.peer = visit.peer;
-      obs.degree = visit.degree;
       // Weight under which the peer entered the frame; reused selections
       // keep their selection-time degree so prob(p) matches the draw.
-      obs.stationary_weight = static_cast<double>(visit.degree);
-      obs.selection_seq = idx;
-      bool from_cache =
-          cache_->Lookup(visit.peer, *state.query, &obs.aggregate);
-      if (from_cache) {
-        // The visit happened but the peer answers from cache: no local scan.
-        network_->cost().RecordPeerVisit();
-      } else {
-        obs.aggregate = query::ExecuteLocal(
-            network_->peer(visit.peer).database(), *state.query,
-            query::SubSamplePolicy{.t = params_.engine.tuples_per_peer,
-                                   .mode = params_.engine.subsample_mode,
-                                   .block_size = params_.engine.block_size},
-            rng);
-        network_->RecordLocalExecution(visit.peer,
-                                       obs.aggregate.processed_tuples,
-                                       obs.aggregate.processed_tuples);
-        cache_->Store(visit.peer, *state.query, obs.aggregate);
-      }
-      // Degree/value lies follow the batched reply exactly as they follow
-      // the per-query one; replayed duplicates are dropped by the sink's
-      // (query, peer, seq) tag dedup and only waste adversary bandwidth, so
-      // they are not modeled on this path.
-      TamperObservation(adversary, &obs);
+      PeerObservation obs{.peer = visit.peer,
+                          .degree = visit.degree,
+                          .stationary_weight =
+                              static_cast<double>(visit.degree),
+                          .aggregate = {},
+                          .selection_seq = idx};
+      ObservePeer(ctx, *states[q].query, cache_, rng, &scratch, &obs);
       pending.push_back(obs);
     }
     // One batched reply carries every multiplexed query's (y(p), deg(p))
     // body behind a single shared header. Lost in transit = lost for all of
     // them; retransmitted after a sink-side timeout like the engine's.
-    bool delivered = false;
-    for (size_t attempt = 0; attempt <= retransmits; ++attempt) {
-      if (attempt > 0) {
-        for (size_t q : active) {
-          ++(phase2 ? states[q].phase2 : states[q].phase1)
-                .stats.reply_retransmits;
-        }
-        // One timeout/retransmit pair per wire message, not per
-        // multiplexed query: the batched reply is lost (and re-sent)
-        // whole.
-        if (net::HistoryRecorder* history = network_->history()) {
-          history->Record(net::HistoryEventKind::kTimeout,
-                          net::MessageType::kAggregateReply, visit.peer, sink,
-                          batch_width);
-          history->Record(net::HistoryEventKind::kRetransmit,
-                          net::MessageType::kAggregateReply, visit.peer, sink,
-                          batch_width);
-        }
-      }
-      util::Status sent =
-          network_->SendDirect(net::MessageType::kAggregateReply, visit.peer,
-                               sink, /*extra_payload_bytes=*/0, batch_width);
-      if (sent.ok()) {
-        delivered = true;
-        break;
-      }
-      if (!network_->IsAlive(visit.peer) || !network_->IsAlive(sink)) break;
-    }
-    if (!delivered) continue;
+    size_t retries = 0;
+    const bool delivered = TransmitReply(
+        ctx, visit.peer, batch_width, rng, &retries, [&](double /*wait_ms*/) {
+          return network_
+              ->SendDirect(net::MessageType::kAggregateReply, visit.peer,
+                           ctx.sink, /*extra_payload_bytes=*/0, batch_width)
+              .ok();
+        });
     for (size_t i = 0; i < active.size(); ++i) {
-      QueryState& state = states[active[i]];
-      (phase2 ? state.phase2 : state.phase1)
-          .observations.push_back(pending[i]);
+      CollectedPhase& phase =
+          phase2 ? states[active[i]].phase2 : states[active[i]].phase1;
+      phase.stats.reply_retransmits += retries;
+      if (delivered) phase.observations.push_back(pending[i]);
     }
   }
 }
@@ -240,17 +203,15 @@ BatchResult QueryScheduler::ExecuteBatch(
       for (QueryState& state : states) {
         if (!state.failed) state.phase1.stats.requested = m;
       }
-      CollectRange(states, 0, m, sink, /*phase2=*/false, rng);
+      CollectRange(states, 0, m, ctx, /*phase2=*/false, rng);
       for (QueryState& state : states) {
         if (state.failed) continue;
-        TwoPhaseEngine::CollectionStats& s1 = state.phase1.stats;
-        s1.delivered = state.phase1.observations.size();
-        s1.lost = s1.requested - s1.delivered;
-        if (s1.delivered < ObservationQuorum(params_.engine, s1.requested) &&
-            !util::BugArmed(util::InjectedBug::kSkipQuorumCheck)) {
-          state.Fail(util::Status::Unavailable(
-              "observation quorum not met in phase I"));
-        } else if (s1.delivered < 2) {
+        util::Status closed =
+            CloseRound(params_.engine, state.phase1.observations.size(),
+                       &state.phase1.stats);
+        if (!closed.ok()) {
+          state.Fail(std::move(closed));
+        } else if (state.phase1.stats.delivered < 2) {
           state.Fail(util::Status::Unavailable(
               "phase I delivered too few observations to cross-validate"));
         }
@@ -285,17 +246,13 @@ BatchResult QueryScheduler::ExecuteBatch(
           state.phase2.stats.requested = state.plan.phase2_peers;
         }
       }
-      CollectRange(states, m, m + widest_plan, sink, /*phase2=*/true, rng);
+      CollectRange(states, m, m + widest_plan, ctx, /*phase2=*/true, rng);
       for (QueryState& state : states) {
         if (state.failed) continue;
-        TwoPhaseEngine::CollectionStats& s2 = state.phase2.stats;
-        s2.delivered = state.phase2.observations.size();
-        s2.lost = s2.requested - s2.delivered;
-        if (s2.delivered < ObservationQuorum(params_.engine, s2.requested) &&
-            !util::BugArmed(util::InjectedBug::kSkipQuorumCheck)) {
-          state.Fail(util::Status::Unavailable(
-              "observation quorum not met in phase II"));
-        }
+        util::Status closed =
+            CloseRound(params_.engine, state.phase2.observations.size(),
+                       &state.phase2.stats);
+        if (!closed.ok()) state.Fail(std::move(closed));
       }
     }
   }

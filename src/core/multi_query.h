@@ -143,9 +143,11 @@ class QueryScheduler {
 
   // Runs frame selections [first, last) for the still-live queries in
   // `states` whose requested range covers the index: per-query local
-  // execution through the cache, one batched reply per visit.
+  // execution through the cache, one batched reply per visit (the shared
+  // reply path of core/reply_path.h, minus dedup: the batch models no
+  // replays or hedges).
   void CollectRange(std::vector<QueryState>& states, size_t first, size_t last,
-                    graph::NodeId sink, bool phase2, util::Rng& rng);
+                    const PlanContext& ctx, bool phase2, util::Rng& rng);
 
   net::SimulatedNetwork* network_;
   SystemCatalog catalog_;

@@ -8,7 +8,7 @@
 
 #include "core/distinct.h"
 #include "core/median.h"
-#include "util/bug_injection.h"
+#include "core/reply_path.h"
 #include "util/statistics.h"
 
 namespace p2paqp::core {
@@ -95,26 +95,6 @@ double EstimateTotal(const std::vector<PeerObservation>& observations,
 }
 
 }  // namespace
-
-size_t TamperObservation(net::AdversaryInjector* adversary,
-                         PeerObservation* obs) {
-  if (adversary == nullptr || !adversary->IsAdversarial(obs->peer)) return 0;
-  uint32_t claimed = adversary->ClaimedDegree(obs->peer, obs->degree);
-  if (claimed != obs->degree && obs->degree > 0) {
-    // The stationary weight the sink divides by follows the lie: the sink
-    // only knows what the reply claims.
-    obs->stationary_weight *= static_cast<double>(claimed) /
-                              static_cast<double>(obs->degree);
-    obs->degree = claimed;
-  }
-  net::ReplyTampering tampering = adversary->OnReply(obs->peer);
-  if (tampering.value_scale != 1.0) {
-    obs->aggregate.count_value *= tampering.value_scale;
-    obs->aggregate.sum_value *= tampering.value_scale;
-    obs->aggregate.total_sum_value *= tampering.value_scale;
-  }
-  return tampering.replays;
-}
 
 size_t AuditObservationDegrees(net::SimulatedNetwork* network,
                                const RobustnessPolicy& policy,
@@ -273,203 +253,83 @@ TwoPhaseEngine::CollectObservations(const query::AggregateQuery& query,
                                     graph::NodeId sink, size_t count,
                                     util::Rng& rng, CollectionStats* stats) {
   const net::StragglerPolicy& sp = params_.straggler;
+  const PlanContext ctx{network_, params_, sink, total_weight_};
   auto sampled = sampler_->SamplePeersResilient(sink, count, rng);
   if (!sampled.ok()) return sampled.status();
   std::vector<PeerObservation> observations;
   observations.reserve(sampled->visits.size());
-  size_t retransmits = 0;
-  size_t duplicates_dropped = 0;
-  size_t hedges = 0;
-  net::AdversaryInjector* adversary = network_->adversary();
-  net::HistoryRecorder* history = network_->history();
-  const uint64_t dedup_round = history != nullptr ? history->NextRound() : 0;
-  size_t selection_seq = 0;
-  for (const sampling::PeerVisit& visit : sampled->visits) {
-    const size_t seq = selection_seq++;
+  CollectionStats round;
+  round.requested = count;
+  round.walk_restarts = sampled->restarts;
+  round.straggler_skips = sampled->straggler_skips;
+  ReplyDedup dedup;
+  dedup.Open(network_, sink, sampled->visits.size());
+  for (size_t seq = 0; seq < sampled->visits.size(); ++seq) {
+    const sampling::PeerVisit& visit = sampled->visits[seq];
     // The selected peer may have departed between selection and local
     // execution (mid-query churn): its observation is simply lost.
     if (!network_->IsAlive(visit.peer)) continue;
-    PeerObservation obs;
-    obs.peer = visit.peer;
-    obs.degree = visit.degree;
-    obs.stationary_weight = sampler_->StationaryWeight(visit.peer);
-    obs.selection_seq = seq;
-    bool from_cache =
-        cache_ != nullptr && cache_->Lookup(visit.peer, query, &obs.aggregate);
-    if (from_cache) {
-      // The visit happened (walker hop costs are already charged) but the
-      // peer answers from its cache: no local scan.
-      network_->cost().RecordPeerVisit();
-    } else {
-      obs.aggregate = query::ExecuteLocal(
-          network_->peer(visit.peer).database(), query,
-          query::SubSamplePolicy{.t = params_.tuples_per_peer,
-                                 .mode = params_.subsample_mode,
-                                 .block_size = params_.block_size},
-          rng);
-      network_->RecordLocalExecution(visit.peer, obs.aggregate.processed_tuples,
-                                     obs.aggregate.processed_tuples);
-      if (cache_ != nullptr) cache_->Store(visit.peer, query, obs.aggregate);
-    }
-    // An adversarial peer lies in the reply it is about to send: misreported
-    // degree (and with it the stationary weight the sink divides by),
-    // corrupted aggregates, and possibly replayed duplicate copies.
-    size_t replays = TamperObservation(adversary, &obs);
-    // (y(p), deg(p)) straight back to the sink over direct IP (Sec. 3.2).
-    // A reply lost in transit is retransmitted after a sink-side timeout; a
-    // crashed endpoint cannot retry.
-    const uint64_t tag = net::DedupTag(dedup_round, visit.peer, seq);
-    bool delivered = false;
-    for (size_t attempt = 0; attempt <= params_.reply_retransmits; ++attempt) {
-      if (attempt > 0) {
-        ++retransmits;
-        // The retry leaves at its actual schedule time: the sink-side wait
-        // (fixed timer or jittered exponential backoff) lands in the ledger
-        // before the re-send is charged, so the latency a backoff plan
-        // reports is the latency the query actually spent waiting.
-        double wait = net::RetryBackoffMs(sp, attempt, rng);
-        if (wait > 0.0) network_->cost().RecordLatency(wait);
-        // The sink's reply timer fires before it asks for the re-send.
-        if (history != nullptr) {
-          history->Record(net::HistoryEventKind::kTimeout,
-                          net::MessageType::kAggregateReply, visit.peer, sink);
-          history->Record(net::HistoryEventKind::kRetransmit,
-                          net::MessageType::kAggregateReply, visit.peer, sink);
-        }
-      }
-      util::Status sent = network_->SendDirect(
-          net::MessageType::kAggregateReply, visit.peer, sink);
-      if (sp.health_tracking) {
-        health_.Record(visit.peer,
-                       0.5 * network_->NominalHopLatencyMs() +
-                           network_->ExpectedPeerTailDelayMs(visit.peer),
-                       sent.ok());
-      }
-      if (sent.ok()) {
-        delivered = true;
-        break;
-      }
-      if (!network_->IsAlive(visit.peer) || !network_->IsAlive(sink)) break;
-    }
+    PeerObservation obs{.peer = visit.peer,
+                        .degree = visit.degree,
+                        .stationary_weight =
+                            sampler_->StationaryWeight(visit.peer),
+                        .aggregate = {},
+                        .selection_seq = seq};
+    const size_t replays =
+        ObservePeer(ctx, query, cache_, rng, &scratch_, &obs).replays;
+    auto send_copy = [&] {
+      return network_
+          ->SendDirect(net::MessageType::kAggregateReply, visit.peer, sink)
+          .ok();
+    };
+    // The ledger sums each attempt's latency as it goes; health is scored
+    // per attempt against the peer's expected reply time.
+    const bool delivered = TransmitReply(
+        ctx, visit.peer, /*batch=*/1, rng, &round.reply_retransmits,
+        [&](double /*wait_ms*/) {
+          const bool ok = send_copy();
+          if (sp.health_tracking) {
+            health_.Record(visit.peer,
+                           0.5 * network_->NominalHopLatencyMs() +
+                               network_->ExpectedPeerTailDelayMs(visit.peer),
+                           ok);
+          }
+          return ok;
+        });
     // Hedged duplicate toward predictably tardy peers: the sink's hedge
     // timer (kHedgeDelayFactor x the nominal reply time) elapses before a
-    // straggler's reply can arrive, so it asks for one duplicate copy; the
-    // (peer, selection_seq) dedup absorbs double deliveries.
+    // straggler's reply can arrive, so it asks for one duplicate copy.
     bool hedge_delivered = false;
     if (sp.hedged_replies && network_->IsAlive(visit.peer) &&
-        network_->IsAlive(sink)) {
-      double hedge_due =
-          net::kHedgeDelayFactor * network_->NominalHopLatencyMs();
-      if (network_->ExpectedPeerTailDelayMs(visit.peer) > hedge_due) {
-        ++hedges;
-        hedge_delivered = network_
-                              ->SendDirect(net::MessageType::kAggregateReply,
-                                           visit.peer, sink)
-                              .ok();
-        // The hedge pair is recorded only when some copy survives: a pair
-        // where primary, retries and hedge were all lost in transit never
-        // resolves to an accepted observation, which is loss, not a
-        // dedup-accounting violation.
-        if (history != nullptr && (delivered || hedge_delivered)) {
-          history->Record(net::HistoryEventKind::kHedgeDue,
-                          net::MessageType::kAggregateReply, visit.peer, sink);
-          history->Record(net::HistoryEventKind::kHedge,
-                          net::MessageType::kAggregateReply, visit.peer, sink,
-                          1, tag);
-        }
-      }
+        network_->IsAlive(sink) &&
+        network_->ExpectedPeerTailDelayMs(visit.peer) >
+            net::kHedgeDelayFactor * network_->NominalHopLatencyMs()) {
+      ++round.hedges;
+      hedge_delivered = send_copy();
+      // The hedge pair is recorded only when some copy survives: a pair
+      // where primary, retries and hedge were all lost in transit never
+      // resolves to an accepted observation, which is loss, not a
+      // dedup-accounting violation.
+      if (delivered || hedge_delivered) dedup.RecordHedge(visit.peer, seq);
     }
-    if (delivered) {
-      observations.push_back(obs);
-      if (history != nullptr) {
-        history->Record(net::HistoryEventKind::kDedupAccept,
-                        net::MessageType::kAggregateReply, visit.peer, sink, 1,
-                        tag);
-      }
-      if (hedge_delivered) {
-        ++duplicates_dropped;
-        if (history != nullptr) {
-          history->Record(net::HistoryEventKind::kDedupDrop,
-                          net::MessageType::kAggregateReply, visit.peer, sink,
-                          1, tag);
-        }
-      }
-    } else if (hedge_delivered) {
-      // The primary (and its retries) were lost but the hedged copy got
-      // through: it is the one accepted observation for this selection.
-      delivered = true;
-      observations.push_back(obs);
-      if (history != nullptr) {
-        history->Record(net::HistoryEventKind::kDedupAccept,
-                        net::MessageType::kAggregateReply, visit.peer, sink, 1,
-                        tag);
-      }
-    }
-    // Replayed copies carry the original's (query_id, peer, phase,
-    // selection_seq) tag, so every delivered copy after the first collides
-    // with an already-seen tag and is dropped before the quorum count.
+    // The sink resolves the copies in arrival order on the sequential
+    // ledger: primary, hedge, then each replayed copy an adversarial peer
+    // pushes (same tag, so only the first delivered copy counts).
+    if (delivered && dedup.Arrive(obs)) observations.push_back(obs);
+    if (hedge_delivered && dedup.Arrive(obs)) observations.push_back(obs);
     for (size_t replay = 0; replay < replays; ++replay) {
-      util::Status sent = network_->SendDirect(
-          net::MessageType::kAggregateReply, visit.peer, sink);
-      if (!sent.ok()) continue;
-      if (delivered) {
-        if (util::BugArmed(util::InjectedBug::kDisableReplyDedup)) {
-          // Injected bug: the sink forgets it has seen this tag and counts
-          // the replayed copy as a fresh observation.
-          observations.push_back(obs);
-          if (history != nullptr) {
-            history->Record(net::HistoryEventKind::kDedupAccept,
-                            net::MessageType::kAggregateReply, visit.peer,
-                            sink, 1, tag);
-          }
-          continue;
-        }
-        ++duplicates_dropped;
-        if (history != nullptr) {
-          history->Record(net::HistoryEventKind::kDedupDrop,
-                          net::MessageType::kAggregateReply, visit.peer, sink,
-                          1, tag);
-        }
-      } else {
-        // The original was lost but a replayed copy got through: the sink
-        // cannot tell it from a retransmit and accepts it once.
-        observations.push_back(obs);
-        delivered = true;
-        if (history != nullptr) {
-          history->Record(net::HistoryEventKind::kDedupAccept,
-                          net::MessageType::kAggregateReply, visit.peer, sink,
-                          1, tag);
-        }
-      }
+      if (send_copy() && dedup.Arrive(obs)) observations.push_back(obs);
     }
   }
-  const size_t delivered_count = observations.size();
-  if (count > 0 && delivered_count < ObservationQuorum(params_, count) &&
-      !util::BugArmed(util::InjectedBug::kSkipQuorumCheck)) {
-    return util::Status::Unavailable(
-        "observation quorum not met: " + std::to_string(delivered_count) +
-        "/" + std::to_string(count) + " delivered");
-  }
-  if (stats != nullptr) {
-    stats->requested = count;
-    stats->delivered = delivered_count;
-    stats->lost = count - delivered_count;
-    stats->reply_retransmits = retransmits;
-    stats->walk_restarts = sampled->restarts;
-    stats->duplicate_replies = duplicates_dropped;
-    stats->hedges = hedges;
-    stats->straggler_skips = sampled->straggler_skips;
-  }
+  round.duplicate_replies = dedup.duplicates();
+  util::Status closed = CloseRound(params_, observations.size(), &round);
+  if (stats != nullptr) *stats = round;
+  if (!closed.ok()) return closed;
   return observations;
 }
 
 size_t MaxPhase2Peers(const EngineParams& params, size_t num_peers) {
   return params.max_phase2_peers == 0 ? num_peers : params.max_phase2_peers;
-}
-
-size_t ObservationQuorum(const EngineParams& params, size_t requested) {
-  return static_cast<size_t>(std::ceil(params.min_observation_quorum *
-                                       static_cast<double>(requested)));
 }
 
 PhaseTwoPlan PlanPhaseTwo(const PlanContext& ctx,

@@ -174,15 +174,6 @@ struct PeerObservation {
   size_t selection_seq = 0;
 };
 
-// Applies an installed adversary's reply tampering to one outgoing
-// observation: degree misreport (the shipped degree *and* the stationary
-// weight the sink will divide by follow the lie) and aggregate corruption
-// (count, sum and total-sum values scaled/sign-flipped/blown up). Returns
-// the number of replayed duplicate copies the peer additionally pushes at
-// the sink. No-op returning 0 for honest peers or a null injector.
-size_t TamperObservation(net::AdversaryInjector* adversary,
-                         PeerObservation* obs);
-
 // Degree cross-validation: for each distinct peer in `observations`, the
 // sink probes `policy.degree_audit_probes` uniformly-chosen slots of the
 // claimed adjacency list. A genuine slot resolves to a real neighbor, which
@@ -239,15 +230,11 @@ class TwoPhaseEngine {
   };
 
   // Visits `count` peers via the engine's sampler and returns their shipped
-  // observations (local execution, cost accounting and reply messages
-  // included). Exposed for the median/distinct paths and for tests.
-  //
-  // Fault-tolerant: lost walker tokens are re-issued by the sampler, a
-  // reply lost in transit is retransmitted after a sink-side timeout (up to
-  // params().reply_retransmits extra attempts), and residual losses are
-  // reported through `stats` instead of failing the call. Hard-fails only
-  // when fewer than params().min_observation_quorum of the requested
-  // observations arrive (or on non-retryable errors such as a dead sink).
+  // observations over the shared reply path (core/reply_path.h): lost
+  // walker tokens are re-issued by the sampler, lost replies retransmitted,
+  // and residual losses reported through `stats`. Hard-fails below
+  // params().min_observation_quorum or on a dead sink. Exposed for the
+  // median/distinct paths and for tests.
   util::Result<std::vector<PeerObservation>> CollectObservations(
       const query::AggregateQuery& query, graph::NodeId sink, size_t count,
       util::Rng& rng, CollectionStats* stats = nullptr);
@@ -271,6 +258,8 @@ class TwoPhaseEngine {
   std::unique_ptr<sampling::PeerSampler> sampler_;
   double total_weight_;
   LocalResultCache* cache_ = nullptr;
+  // Local-scan working storage reused across selections.
+  query::LocalExecScratch scratch_;
 };
 
 // ---- The sink-side plan (Sec. 4), shared by every executor. ----
@@ -310,10 +299,6 @@ struct PhaseTwoPlan {
 
 // Upper clamp on m': EngineParams::max_phase2_peers, or the network size.
 size_t MaxPhase2Peers(const EngineParams& params, size_t num_peers);
-
-// Fewest delivered observations out of `requested` that keep a collection
-// round alive (EngineParams::min_observation_quorum, rounded up).
-size_t ObservationQuorum(const EngineParams& params, size_t requested);
 
 // Cross-validates the phase-I sample (the ratio form for AVG), normalizes
 // the CV error and sizes phase II. Needs at least 2 observations.

@@ -1,8 +1,9 @@
 #include "graph/builder.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
+
+#include "util/env.h"
 
 namespace p2paqp::graph {
 namespace {
@@ -105,14 +106,12 @@ size_t CeilPow2(size_t v) {
 
 SpillOptions SpillOptionsFromEnv() {
   SpillOptions spill;
-  if (const char* env = std::getenv("P2PAQP_BUILD_SPILL_EDGES")) {
-    long parsed = std::atol(env);
-    if (parsed > 0) spill.run_edges = static_cast<size_t>(parsed);
-  }
-  if (const char* env = std::getenv("P2PAQP_BUILD_MERGE_FAN_IN")) {
-    long parsed = std::atol(env);
-    if (parsed > 1) spill.merge_fan_in = static_cast<size_t>(parsed);
-  }
+  const uint64_t run_edges =
+      util::EnvWholeNumber("P2PAQP_BUILD_SPILL_EDGES").value_or(0);
+  if (run_edges > 0) spill.run_edges = static_cast<size_t>(run_edges);
+  const uint64_t fan_in =
+      util::EnvWholeNumber("P2PAQP_BUILD_MERGE_FAN_IN").value_or(0);
+  if (fan_in > 1) spill.merge_fan_in = static_cast<size_t>(fan_in);
   return spill;
 }
 

@@ -218,78 +218,37 @@ graph::NodeId CrashCandidate(MessageType type, graph::NodeId from,
 
 }  // namespace
 
-void SimulatedNetwork::RecordOutcome(bool delivered, MessageType type,
-                                     graph::NodeId from, graph::NodeId to,
-                                     uint32_t batch) {
-  if (delivered) {
-    cost_.RecordDelivered();
-  } else {
-    cost_.RecordDropped();
-  }
-  if (history_ != nullptr) {
-    history_->Record(
-        delivered ? HistoryEventKind::kDeliver : HistoryEventKind::kDrop, type,
-        from, to, batch);
-  }
-}
-
 util::Status SimulatedNetwork::SendAlongEdge(MessageType type,
                                              graph::NodeId from,
                                              graph::NodeId to, uint32_t batch) {
-  if (from >= peers_.size() || to >= peers_.size()) {
-    return util::Status::InvalidArgument("endpoint out of range");
-  }
-  if (!graph_.HasEdge(from, to)) {
-    return util::Status::InvalidArgument("no overlay connection");
-  }
-  if (!peers_[from].alive() || !peers_[to].alive()) {
-    return util::Status::Unavailable("endpoint departed");
-  }
-  if (batch > 1) {
-    cost_.RecordBatchedMessage(BatchedPayloadBytes(type, batch),
-                               DefaultPayloadBytes(type), batch,
-                               kGnutellaHeaderBytes);
-  } else {
-    cost_.RecordMessage(DefaultPayloadBytes(type));
-  }
-  cost_.RecordWalkerHops(1);
-  if (history_ != nullptr) {
-    history_->Record(HistoryEventKind::kSend, type, from, to, batch);
-  }
-  double latency = SampleHopLatency();
-  if (fault_.has_value()) {
-    // The message is on the wire (cost already charged) when faults strike:
-    // drops lose it silently, crashes take an endpoint down with it.
-    FaultDecision faults = ApplyFaults(type, from, to,
-                                       CrashCandidate(type, from, to));
-    cost_.RecordLatency(latency + faults.extra_latency_ms);
-    if (!peers_[from].alive() || !peers_[to].alive()) {
-      RecordOutcome(false, type, from, to, batch);
-      return util::Status::Unavailable("peer crashed mid-query");
-    }
-    if (!faults.deliver) {
-      RecordOutcome(false, type, from, to, batch);
-      return util::Status::Unavailable("message dropped in transit");
-    }
-    RecordOutcome(true, type, from, to, batch);
-    return util::Status::Ok();
-  }
-  cost_.RecordLatency(latency);
-  RecordOutcome(true, type, from, to, batch);
-  return util::Status::Ok();
+  return Transmit(type, from, to, /*extra_payload_bytes=*/0, batch,
+                  /*overlay_hop=*/true, /*transit_ms=*/nullptr);
 }
 
 util::Status SimulatedNetwork::SendDirect(MessageType type,
                                           graph::NodeId from,
                                           graph::NodeId to,
                                           uint32_t extra_payload_bytes,
-                                          uint32_t batch) {
+                                          uint32_t batch, double* transit_ms) {
+  return Transmit(type, from, to, extra_payload_bytes, batch,
+                  /*overlay_hop=*/false, transit_ms);
+}
+
+util::Status SimulatedNetwork::Transmit(MessageType type, graph::NodeId from,
+                                        graph::NodeId to,
+                                        uint32_t extra_payload_bytes,
+                                        uint32_t batch, bool overlay_hop,
+                                        double* transit_ms) {
   if (from >= peers_.size() || to >= peers_.size()) {
     return util::Status::InvalidArgument("endpoint out of range");
+  }
+  if (overlay_hop && !graph_.HasEdge(from, to)) {
+    return util::Status::InvalidArgument("no overlay connection");
   }
   if (!peers_[from].alive() || !peers_[to].alive()) {
     return util::Status::Unavailable("endpoint departed");
   }
+  if (overlay_hop) cost_.RecordWalkerHops(1);
   if (batch > 1) {
     // extra_payload_bytes is a per-query rider, so it multiplies with the
     // batch while the header is still shared once.
@@ -307,25 +266,34 @@ util::Status SimulatedNetwork::SendDirect(MessageType type,
   // Direct IP replies do not ride the overlay but still cross the Internet
   // once; replies overlap the walk, so only the message cost (not latency on
   // the critical path) is charged beyond a single hop-equivalent.
-  double latency = SampleHopLatency() * 0.5;
+  double transit = SampleHopLatency() * (overlay_hop ? 1.0 : 0.5);
+  const char* lost = nullptr;
   if (fault_.has_value()) {
+    // The message is on the wire (cost already charged) when faults strike:
+    // drops lose it silently, crashes take an endpoint down with it.
     FaultDecision faults = ApplyFaults(type, from, to,
                                        CrashCandidate(type, from, to));
-    cost_.RecordLatency(latency + faults.extra_latency_ms);
+    transit += faults.extra_latency_ms;
     if (!peers_[from].alive() || !peers_[to].alive()) {
-      RecordOutcome(false, type, from, to, batch);
-      return util::Status::Unavailable("peer crashed mid-query");
+      lost = "peer crashed mid-query";
+    } else if (!faults.deliver) {
+      lost = "message dropped in transit";
     }
-    if (!faults.deliver) {
-      RecordOutcome(false, type, from, to, batch);
-      return util::Status::Unavailable("message dropped in transit");
-    }
-    RecordOutcome(true, type, from, to, batch);
-    return util::Status::Ok();
   }
-  cost_.RecordLatency(latency);
-  RecordOutcome(true, type, from, to, batch);
-  return util::Status::Ok();
+  cost_.RecordLatency(transit);
+  if (transit_ms != nullptr) *transit_ms = transit;
+  // Every charged message resolves, in the ledger and the history alike.
+  if (lost == nullptr) {
+    cost_.RecordDelivered();
+  } else {
+    cost_.RecordDropped();
+  }
+  if (history_ != nullptr) {
+    history_->Record(
+        lost == nullptr ? HistoryEventKind::kDeliver : HistoryEventKind::kDrop,
+        type, from, to, batch);
+  }
+  return lost == nullptr ? util::Status::Ok() : util::Status::Unavailable(lost);
 }
 
 double SimulatedNetwork::LocalScanLatency(graph::NodeId peer_id,
@@ -336,13 +304,15 @@ double SimulatedNetwork::LocalScanLatency(graph::NodeId peer_id,
          (params_.tuples_scanned_per_ms * cpu_scale);
 }
 
-void SimulatedNetwork::RecordLocalExecution(graph::NodeId peer_id,
-                                            uint64_t tuples_scanned,
-                                            uint64_t tuples_sampled) {
+double SimulatedNetwork::RecordLocalExecution(graph::NodeId peer_id,
+                                              uint64_t tuples_scanned,
+                                              uint64_t tuples_sampled) {
   cost_.RecordPeerVisit();
   cost_.RecordTuplesScanned(tuples_scanned);
   cost_.RecordTuplesSampled(tuples_sampled);
-  cost_.RecordLatency(LocalScanLatency(peer_id, tuples_scanned));
+  const double scan_ms = LocalScanLatency(peer_id, tuples_scanned);
+  cost_.RecordLatency(scan_ms);
+  return scan_ms;
 }
 
 int64_t SimulatedNetwork::TotalTuples() const {

@@ -208,10 +208,12 @@ class SimulatedNetwork {
   // Direct IP transport (no overlay routing): visited peers know the sink's
   // address from the walker and reply straight back (Sec. 3.2).
   // `extra_payload_bytes` rides on top of the type's nominal size; `batch`
-  // multiplexes per-query reply bodies behind one header as above.
+  // multiplexes per-query reply bodies behind one header as above. A sent
+  // message writes the transit it charged (half-hop draw plus any fault
+  // spike), delivered or not, to `*transit_ms` if set.
   util::Status SendDirect(MessageType type, graph::NodeId from,
                           graph::NodeId to, uint32_t extra_payload_bytes = 0,
-                          uint32_t batch = 1);
+                          uint32_t batch = 1, double* transit_ms = nullptr);
 
   // --- Fault injection ----------------------------------------------------
   // Installs a fault regime for subsequent messages, replacing any previous
@@ -243,17 +245,10 @@ class SimulatedNetwork {
     return adversary_.has_value() ? &*adversary_ : nullptr;
   }
 
-  // Filters one message through the injector and applies crash side effects
-  // to peer liveness. A no-op returning "deliver" when no injector is
-  // installed. Exposed for event-driven consumers that account message
-  // costs themselves (the async engine).
-  FaultDecision ApplyFaults(MessageType type, graph::NodeId from,
-                            graph::NodeId to, graph::NodeId crash_candidate);
-
   // Accounts a local scan of `tuples` rows at `peer` (latency scaled by the
-  // peer's CPU speed) and marks the peer visited.
-  void RecordLocalExecution(graph::NodeId peer, uint64_t tuples_scanned,
-                            uint64_t tuples_sampled);
+  // peer's CPU speed) and marks the peer visited. Returns the scan latency.
+  double RecordLocalExecution(graph::NodeId peer, uint64_t tuples_scanned,
+                              uint64_t tuples_sampled);
 
   // --- Latency model (exposed for event-driven execution) ----------------
   // One overlay-hop latency draw (base + jitter). Stateful: advances the
@@ -322,10 +317,21 @@ class SimulatedNetwork {
 
   double SampleHopLatency();
 
-  // Resolves one charged message — delivered or dropped — in both the cost
-  // ledger and the attached history, keeping the two in lockstep.
-  void RecordOutcome(bool delivered, MessageType type, graph::NodeId from,
-                     graph::NodeId to, uint32_t batch);
+  // Filters one message through the injector and applies crash side effects
+  // to peer liveness. A no-op returning "deliver" when no injector is
+  // installed.
+  FaultDecision ApplyFaults(MessageType type, graph::NodeId from,
+                            graph::NodeId to, graph::NodeId crash_candidate);
+
+  // The one transmit body behind SendAlongEdge (`overlay_hop`: the edge
+  // must exist, a walker hop is counted, a full hop latency is drawn) and
+  // SendDirect (half a hop): validate the endpoints, charge the (possibly
+  // batched) message, record kSend, draw the latency, run the fault
+  // injector, charge the transit (also written to `*transit_ms` if set) and
+  // resolve the outcome in the ledger and the history.
+  util::Status Transmit(MessageType type, graph::NodeId from,
+                        graph::NodeId to, uint32_t extra_payload_bytes,
+                        uint32_t batch, bool overlay_hop, double* transit_ms);
 
   graph::Graph graph_;
   PeerStore peers_;

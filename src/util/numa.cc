@@ -6,6 +6,7 @@
 #include <string>
 #include <thread>
 
+#include "util/env.h"
 #include "util/logging.h"
 
 #ifdef P2PAQP_HAVE_LIBNUMA
@@ -132,8 +133,7 @@ const NumaTopology& NumaTopology::Probed() {
 
 const NumaTopology& NumaTopology::Effective() {
   static const NumaTopology single = SingleNode(HardwareCpus());
-  const char* env = std::getenv("P2PAQP_NUMA");
-  if (env != nullptr && std::atol(env) == 0) return single;
+  if (EnvWholeNumber("P2PAQP_NUMA") == 0) return single;
   return Probed();
 }
 
@@ -158,8 +158,7 @@ int NumaTopology::CpuOfLane(size_t lane, size_t lanes) const {
 }
 
 bool NumaPlacementEnabled() {
-  const char* env = std::getenv("P2PAQP_NUMA");
-  if (env != nullptr && std::atol(env) == 0) return false;
+  if (EnvWholeNumber("P2PAQP_NUMA") == 0) return false;
   return NumaTopology::Probed().multi_node();
 }
 

@@ -1,10 +1,10 @@
 #include "util/parallel.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <limits>
 
+#include "util/env.h"
 #include "util/logging.h"
 #include "util/numa.h"
 
@@ -22,18 +22,14 @@ thread_local bool tls_in_parallel_worker = false;
 }  // namespace
 
 size_t ParallelThreads() {
-  const char* env = std::getenv("P2PAQP_THREADS");
-  if (env != nullptr) {
-    long parsed = std::atol(env);
-    if (parsed > 0) return static_cast<size_t>(parsed);
-  }
+  const uint64_t threads = EnvWholeNumber("P2PAQP_THREADS").value_or(0);
+  if (threads > 0) return static_cast<size_t>(threads);
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
 
 bool PinThreadsEnabled() {
-  const char* env = std::getenv("P2PAQP_PIN_THREADS");
-  return env != nullptr && std::atol(env) > 0;
+  return EnvWholeNumber("P2PAQP_PIN_THREADS").value_or(0) > 0;
 }
 
 bool InParallelWorker() { return tls_in_parallel_worker; }

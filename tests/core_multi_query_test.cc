@@ -1,11 +1,14 @@
 // Tests for the multi-query scheduler: batch execution over a shared sample
 // frame, frame reuse/top-up/epoch-expiry, the walker-batching and
-// frame-reuse ablation switches, and per-query failure isolation.
+// frame-reuse ablation switches, per-query failure isolation, and the
+// retransmit backoff policy on the batched reply path.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/multi_query.h"
+#include "net/fault.h"
+#include "net/history.h"
 #include "test_common.h"
 
 namespace p2paqp::core {
@@ -220,6 +223,65 @@ TEST(QuerySchedulerTest, SumQueriesEstimateTotals) {
   // SUM over values in [1,60] must exceed COUNT of the same predicate
   // (every matching tuple has value >= 1).
   EXPECT_GE(result.answers[0]->estimate, result.answers[1]->estimate);
+}
+
+// One cold batch on a 20%-lossy world under `straggler`: the batch cost, the
+// number of batched-reply retries, and the query RNG's next draw.
+struct LossyBatch {
+  net::CostSnapshot cost;
+  uint64_t retransmits = 0;
+  uint64_t next_draw = 0;
+};
+
+LossyBatch RunLossyBatch(const net::StragglerPolicy& straggler) {
+  TestNetwork tn = MakeTestNetwork(TestNetworkParams{});
+  net::FaultPlan faults;
+  faults.drop_probability = 0.2;
+  tn.network.InstallFaultPlan(faults, 515);
+  net::HistoryRecorder history;
+  tn.network.set_history(&history);
+  SchedulerParams params = DefaultParams(tn);
+  params.engine.straggler = straggler;
+  FreshnessCache cache(10, 1 << 12);
+  QueryScheduler scheduler(&tn.network, tn.catalog, params, &cache);
+  util::Rng rng(15);
+  BatchResult result = scheduler.ExecuteBatch(QueryMix(), 0, rng);
+  tn.network.set_history(nullptr);
+  return LossyBatch{result.cost,
+                    history.Count(net::HistoryEventKind::kRetransmit),
+                    rng.Next64()};
+}
+
+// The scheduler's batched replies retry under the configured backoff policy,
+// like the engines' replies: each retry's wait is charged to the batch's
+// latency, and exponential backoff draws its jitter from the query stream.
+TEST(QuerySchedulerTest, RetransmitBackoffIsChargedToTheBatch) {
+  const LossyBatch plain = RunLossyBatch(net::StragglerPolicy{});
+  ASSERT_GT(plain.retransmits, 0u) << "the lossy plan never retried a reply";
+
+  // A fixed sink-side timer consumes no RNG: the same run, with exactly one
+  // wait per retry added to the latency ledger.
+  net::StragglerPolicy timer;
+  timer.retransmit_timeout_ms = 500.0;
+  const LossyBatch timed = RunLossyBatch(timer);
+  EXPECT_EQ(timed.retransmits, plain.retransmits);
+  EXPECT_EQ(timed.cost.messages, plain.cost.messages);
+  EXPECT_EQ(timed.next_draw, plain.next_draw);
+  EXPECT_NEAR(timed.cost.latency_ms,
+              plain.cost.latency_ms +
+                  500.0 * static_cast<double>(plain.retransmits),
+              1e-6 * timed.cost.latency_ms);
+
+  // Exponential backoff jitters every wait from the query RNG, so the
+  // stream moves on, and every wait is at least the jittered first step.
+  net::StragglerPolicy backoff;
+  backoff.exponential_backoff = true;
+  const LossyBatch backed = RunLossyBatch(backoff);
+  ASSERT_GT(backed.retransmits, 0u);
+  EXPECT_NE(backed.next_draw, plain.next_draw);
+  EXPECT_GT(backed.cost.latency_ms,
+            net::kBackoffBaseMs * (1.0 - net::kBackoffJitter) *
+                static_cast<double>(backed.retransmits));
 }
 
 }  // namespace

@@ -46,14 +46,16 @@ TEST(ParallelThreadsTest, EnvKnobWins) {
   EXPECT_EQ(util::ParallelThreads(), 3u);
 }
 
-TEST(ParallelThreadsTest, ZeroAndGarbageFallBackToHardware) {
+TEST(ParallelThreadsTest, ZeroFallsBackToHardwareAndGarbageAborts) {
   {
     ScopedThreads guard("0");
     EXPECT_GE(util::ParallelThreads(), 1u);
   }
   {
+    // A malformed knob is a configuration error, not a request for the
+    // default (util/env.h).
     ScopedThreads guard("banana");
-    EXPECT_GE(util::ParallelThreads(), 1u);
+    EXPECT_DEATH(util::ParallelThreads(), "P2PAQP_THREADS=\"banana\"");
   }
 }
 

@@ -4,78 +4,39 @@
 Compares freshly generated BENCH_<name>.json files (written by the figure
 binaries when --json / P2PAQP_BENCH_JSON is set, see bench/harness.cc)
 against the committed reference files in bench/baselines/ and fails when a
-benchmark regressed:
+benchmark regressed. Every gated field is one row of RULES below:
 
-  * wall_time_s       > baseline * (1 + --wall-tolerance), default +25%,
-                        with an absolute noise floor (--wall-floor, default
-                        0.5 s) so sub-second figures on noisy CI runners do
-                        not flap;
-  * mean_messages     > baseline * (1 + --messages-tolerance), default +10%.
-                        Message counts come out of the deterministic
-                        simulation, so any growth is a real cost change,
-                        not noise.
-  * messages_per_query  same rule, for scheduler binaries (their per-query
-                        cost is batch-amortized, so mean_messages is 0 and
-                        this field carries the real message signal). Only
-                        checked when the baseline recorded a nonzero value.
-  * bytes_per_peer    > baseline * (1 + --bytes-tolerance), default +10%.
-                        The scale world's resident footprint per peer
-                        (bench/scale_world.cc) is a deterministic layout
-                        property, so it is gated regardless of threads.
-                        Only checked when the baseline recorded it.
-  * events_per_sec    < baseline * (1 - --events-tolerance), default -25%.
-                        The event core's drain rate — a LOWER bound, and a
-                        wall-clock quantity, so only compared when
-                        `threads` matches the baseline. Only checked when
-                        the baseline recorded it.
-  * world_build_peak_rss_mb
-                        > baseline * (1 + --rss-tolerance), default +15%.
-                        The process peak RSS right after world construction
-                        (bench/scale_world.cc): the high-water mark the
-                        out-of-core graph builder bounds. Dominated by
-                        deterministic allocation layout, so it is gated
-                        regardless of threads. Only checked when the
-                        baseline recorded a nonzero value. The 10M series
-                        (bench/baselines/scale/10m, run at P2PAQP_SCALE=10
-                        with P2PAQP_BUILD_SPILL_EDGES set) exists mostly
-                        for this bound: it proves a ten-million-peer world
-                        builds inside the spilling builder's memory budget.
-  * steady_state_allocs_per_event
-                        must be EXACTLY 0 whenever the baseline carries the
-                        field. The warm event-loop drain performs no heap
-                        allocation by contract (slot arenas + inline event
-                        closures, see docs/PERFORMANCE.md); any nonzero
-                        value is a leak of the zero-allocation path, not
-                        noise, so there is no tolerance knob. Checked
-                        regardless of thread count (the drain is
-                        bit-deterministic across P2PAQP_THREADS).
-  * p99_query_wall_ms > baseline * (1 + --p99-tolerance), default +10%.
-                        The straggler tier's tail latency: the 99th
-                        percentile *simulated* query makespan under the
-                        Pareto-tail regime (bench/scale_world.cc,
-                        bench/ablation_straggler.cc). A deterministic
-                        event-clock quantity, so it is checked regardless
-                        of threads; growth means Walk-Not-Wait/hedging got
-                        worse at routing around stragglers. Only checked
-                        when the baseline recorded a nonzero value.
-  * deadline_hit_rate > baseline + --deadline-hit-slack, default +0.02
-                        absolute. The fraction of straggler-tier queries
-                        forced into a deadline-degraded anytime answer —
-                        deterministic like p99, and a regression means more
-                        queries blow their budget. Only checked when the
-                        baseline recorded a nonzero value.
+  field                          bound (defaults)            checked when
+  mean_messages                  <= base * 1.10 + 1          always
+  messages_per_query             <= base * 1.10 + 1          baseline > 0
+  bytes_per_peer                 <= base * 1.10              baseline > 0
+  world_build_peak_rss_mb        <= base * 1.15              baseline > 0
+  steady_state_allocs_per_event  == 0 (no tolerance knob)    baseline has it
+  p99_query_wall_ms              <= base * 1.10              baseline > 0
+  deadline_hit_rate              <= base + 0.02              baseline > 0
+  events_per_sec                 >= base * 0.75              baseline > 0,
+                                                             same threads
+  wall_time_s                    <= base * 1.25 + 0.5 s      same threads
+
+Message counts, layout sizes, allocation counts and the simulated p99 and
+deadline share come out of the deterministic simulation (bit-identical for
+any P2PAQP_THREADS), so they are compared regardless of thread count; the
+drain rate and wall time are wall-clock quantities, compared only when
+`threads` matches the baseline's. The 10M series (bench/baselines/scale/10m,
+run at P2PAQP_SCALE=10 with P2PAQP_BUILD_SPILL_EDGES set) exists mostly for
+the RSS bound: it proves a ten-million-peer world builds inside the spilling
+builder's memory budget.
 
 Comparison rules:
 
   * A fresh file is only compared when its `scale` matches the baseline's —
     telemetry at a different P2PAQP_SCALE measures a different world.
-  * `mean_messages` is compared regardless of thread count (the parallel
-    layer is bit-deterministic across P2PAQP_THREADS); `wall_time_s` is
-    only compared when `threads` matches too.
   * google-benchmark report files (e.g. BENCH_micro_benchmarks.json, which
     have a top-level "context" key) use a different schema and are skipped.
   * A baseline with no matching fresh file fails the gate: a deleted or
     silently-not-run benchmark must be an explicit baseline change.
+
+tools/bench_gate_selftest.py trips every rule on its own.
 
 Usage:
   python3 tools/bench_gate.py --fresh <dir> [--baselines bench/baselines]
@@ -96,6 +57,75 @@ def is_google_benchmark(doc):
     return "context" in doc and "benchmarks" in doc
 
 
+# The gate, one row per BENCH field. Columns:
+#   field      BENCH_*.json key (a missing fresh value reads as 0).
+#   better     "lower": fresh must not exceed the limit;
+#              "higher": fresh must not fall below the floor.
+#   tolerance  relative band around the baseline: the name of the argparse
+#              option holding it, 0.0 for none (limit = baseline + slack),
+#              or None for an absolute limit that ignores the baseline.
+#   slack      absolute slack added to the limit (subtracted from a floor):
+#              a number or the name of an argparse option.
+#   applies    "always", "present" (the baseline carries the field) or
+#              "nonzero" (the baseline value is > 0).
+#   threads    True for wall-clock quantities, compared only when `threads`
+#              matches the baseline's.
+RULES = (
+    # Deterministic message counts: any growth is a real cost change. The
+    # scheduler's amortized per-query count lives in messages_per_query.
+    ("mean_messages", "lower", "messages_tolerance", 1.0, "always", False),
+    ("messages_per_query", "lower", "messages_tolerance", 1.0, "nonzero",
+     False),
+    # Deterministic layout: resident bytes per peer, peak RSS after build.
+    ("bytes_per_peer", "lower", "bytes_tolerance", 0.0, "nonzero", False),
+    ("world_build_peak_rss_mb", "lower", "rss_tolerance", 0.0, "nonzero",
+     False),
+    # The warm drain allocates nothing by contract: exactly 0, no knob.
+    ("steady_state_allocs_per_event", "lower", None, 0.0, "present", False),
+    # Simulated straggler tail and deadline-degraded share (event clock).
+    ("p99_query_wall_ms", "lower", "p99_tolerance", 0.0, "nonzero", False),
+    ("deadline_hit_rate", "lower", 0.0, "deadline_hit_slack", "nonzero",
+     False),
+    # Wall-clock quantities.
+    ("events_per_sec", "higher", "events_tolerance", 0.0, "nonzero", True),
+    ("wall_time_s", "lower", "wall_tolerance", "wall_floor", "always", True),
+)
+
+
+def knob(value, args):
+    return getattr(args, value) if isinstance(value, str) else value
+
+
+def applies(when, base, field):
+    if when == "always":
+        return True
+    if when == "present":
+        return field in base
+    return base.get(field, 0.0) > 0.0
+
+
+def check(name, rule, base, fresh, args):
+    """Returns (failed, message) for one rule that applies."""
+    field, better, tolerance, slack, _, _ = rule
+    base_value = base.get(field, 0.0)
+    fresh_value = fresh.get(field, 0.0)
+    tol = knob(tolerance, args)
+    slack = knob(slack, args)
+    anchor = 0.0 if tol is None else base_value
+    sign = 1.0 if better == "lower" else -1.0
+    bound = anchor * (1.0 + sign * (tol or 0.0)) + sign * slack
+    failed = fresh_value > bound if better == "lower" else fresh_value < bound
+    band = "" if tol is None else f" {sign * tol:+.0%}"
+    if slack:
+        band += f" {sign * slack:+g} slack"
+    if failed:
+        op = ">" if better == "lower" else "<"
+        return True, (f"{name}: {field} {fresh_value:g} {op} {bound:g} "
+                      f"(baseline {base_value:g}{band})")
+    return False, f"{name}: {field} {fresh_value:g} vs baseline " \
+                  f"{base_value:g} OK"
+
+
 def compare(name, base, fresh, args):
     """Returns a list of failure strings and a list of info strings."""
     failures, notes = [], []
@@ -104,118 +134,17 @@ def compare(name, base, fresh, args):
             f"{name}: SKIP (scale {fresh.get('scale')} != baseline "
             f"{base.get('scale')})")
         return failures, notes
-
-    message_fields = ["mean_messages"]
-    if base.get("messages_per_query", 0.0) > 0.0:
-        message_fields.append("messages_per_query")
-    for field in message_fields:
-        base_msgs = base.get(field, 0.0)
-        fresh_msgs = fresh.get(field, 0.0)
-        msg_limit = base_msgs * (1.0 + args.messages_tolerance) + 1.0
-        if fresh_msgs > msg_limit:
-            failures.append(
-                f"{name}: {field} {fresh_msgs:.1f} > {msg_limit:.1f} "
-                f"(baseline {base_msgs:.1f} +{args.messages_tolerance:.0%})")
-        else:
-            notes.append(
-                f"{name}: {field} {fresh_msgs:.1f} vs baseline "
-                f"{base_msgs:.1f} OK")
-
-    base_bpp = base.get("bytes_per_peer", 0.0)
-    if base_bpp > 0.0:
-        fresh_bpp = fresh.get("bytes_per_peer", 0.0)
-        bpp_limit = base_bpp * (1.0 + args.bytes_tolerance)
-        if fresh_bpp > bpp_limit:
-            failures.append(
-                f"{name}: bytes_per_peer {fresh_bpp:.1f} > {bpp_limit:.1f} "
-                f"(baseline {base_bpp:.1f} +{args.bytes_tolerance:.0%})")
-        else:
-            notes.append(
-                f"{name}: bytes_per_peer {fresh_bpp:.1f} vs baseline "
-                f"{base_bpp:.1f} OK")
-
-    base_rss = base.get("world_build_peak_rss_mb", 0.0)
-    if base_rss > 0.0:
-        fresh_rss = fresh.get("world_build_peak_rss_mb", 0.0)
-        rss_limit = base_rss * (1.0 + args.rss_tolerance)
-        if fresh_rss > rss_limit:
-            failures.append(
-                f"{name}: world_build_peak_rss_mb {fresh_rss:.1f} > "
-                f"{rss_limit:.1f} (baseline {base_rss:.1f} "
-                f"+{args.rss_tolerance:.0%})")
-        else:
-            notes.append(
-                f"{name}: world_build_peak_rss_mb {fresh_rss:.1f} vs "
-                f"baseline {base_rss:.1f} OK")
-
-    if "steady_state_allocs_per_event" in base:
-        fresh_allocs = fresh.get("steady_state_allocs_per_event", 0.0)
-        if fresh_allocs > 0.0:
-            failures.append(
-                f"{name}: steady_state_allocs_per_event {fresh_allocs:.3f} "
-                f"> 0 (the warm drain must not allocate)")
-        else:
-            notes.append(
-                f"{name}: steady_state_allocs_per_event 0 OK")
-
-    base_p99 = base.get("p99_query_wall_ms", 0.0)
-    if base_p99 > 0.0:
-        fresh_p99 = fresh.get("p99_query_wall_ms", 0.0)
-        p99_limit = base_p99 * (1.0 + args.p99_tolerance)
-        if fresh_p99 > p99_limit:
-            failures.append(
-                f"{name}: p99_query_wall_ms {fresh_p99:.1f} > "
-                f"{p99_limit:.1f} (baseline {base_p99:.1f} "
-                f"+{args.p99_tolerance:.0%})")
-        else:
-            notes.append(
-                f"{name}: p99_query_wall_ms {fresh_p99:.1f} vs baseline "
-                f"{base_p99:.1f} OK")
-
-    base_hit = base.get("deadline_hit_rate", 0.0)
-    if base_hit > 0.0:
-        fresh_hit = fresh.get("deadline_hit_rate", 0.0)
-        hit_limit = base_hit + args.deadline_hit_slack
-        if fresh_hit > hit_limit:
-            failures.append(
-                f"{name}: deadline_hit_rate {fresh_hit:.4f} > "
-                f"{hit_limit:.4f} (baseline {base_hit:.4f} "
-                f"+{args.deadline_hit_slack} absolute)")
-        else:
-            notes.append(
-                f"{name}: deadline_hit_rate {fresh_hit:.4f} vs baseline "
-                f"{base_hit:.4f} OK")
-
-    if base.get("threads") != fresh.get("threads"):
+    threads_match = base.get("threads") == fresh.get("threads")
+    if not threads_match:
         notes.append(
             f"{name}: wall-time SKIP (threads {fresh.get('threads')} != "
             f"baseline {base.get('threads')})")
-        return failures, notes
-
-    base_eps = base.get("events_per_sec", 0.0)
-    if base_eps > 0.0:
-        fresh_eps = fresh.get("events_per_sec", 0.0)
-        eps_floor = base_eps * (1.0 - args.events_tolerance)
-        if fresh_eps < eps_floor:
-            failures.append(
-                f"{name}: events_per_sec {fresh_eps:.0f} < {eps_floor:.0f} "
-                f"(baseline {base_eps:.0f} -{args.events_tolerance:.0%})")
-        else:
-            notes.append(
-                f"{name}: events_per_sec {fresh_eps:.0f} vs baseline "
-                f"{base_eps:.0f} OK")
-    base_wall = base.get("wall_time_s", 0.0)
-    fresh_wall = fresh.get("wall_time_s", 0.0)
-    wall_limit = base_wall * (1.0 + args.wall_tolerance) + args.wall_floor
-    if fresh_wall > wall_limit:
-        failures.append(
-            f"{name}: wall_time_s {fresh_wall:.2f} > {wall_limit:.2f} "
-            f"(baseline {base_wall:.2f} +{args.wall_tolerance:.0%} "
-            f"+{args.wall_floor}s floor)")
-    else:
-        notes.append(
-            f"{name}: wall_time_s {fresh_wall:.2f} vs baseline "
-            f"{base_wall:.2f} OK")
+    for rule in RULES:
+        field, _, _, _, when, threads = rule
+        if (threads and not threads_match) or not applies(when, base, field):
+            continue
+        failed, message = check(name, rule, base, fresh, args)
+        (failures if failed else notes).append(message)
     return failures, notes
 
 
