@@ -55,6 +55,8 @@ struct BenchTelemetry {
   // binaries that never run one.
   double p99_query_wall_ms = 0.0;
   double deadline_hit_rate = 0.0;
+  // Median wall time of one churn epoch (us); 0 = not recorded.
+  double churn_epoch_us = 0.0;
 };
 
 BenchTelemetry& Telemetry() {
@@ -103,6 +105,12 @@ void RecordStragglerTelemetry(double p99_query_wall_ms,
   std::lock_guard<std::mutex> lock(t.mu);
   t.p99_query_wall_ms = p99_query_wall_ms;
   t.deadline_hit_rate = deadline_hit_rate;
+}
+
+void RecordChurnEpochTelemetry(double churn_epoch_us) {
+  BenchTelemetry& t = Telemetry();
+  std::lock_guard<std::mutex> lock(t.mu);
+  t.churn_epoch_us = churn_epoch_us;
 }
 
 // Normalized error per op (Sec. 5.5: errors in [0, 1]).
@@ -543,7 +551,8 @@ void EmitFigure(const std::string& title, const std::string& setup,
                "  \"steady_state_allocs_per_event\": %.3f,\n"
                "  \"world_build_peak_rss_mb\": %.1f,\n"
                "  \"p99_query_wall_ms\": %.1f,\n"
-               "  \"deadline_hit_rate\": %.4f\n"
+               "  \"deadline_hit_rate\": %.4f,\n"
+               "  \"churn_epoch_us\": %.1f\n"
                "}\n",
                io.name.c_str(), wall_s,
                util::ParallelThreads(),
@@ -559,7 +568,7 @@ void EmitFigure(const std::string& title, const std::string& setup,
                    : 0.0,
                t.sched_frame_hits, t.bytes_per_peer, t.events_per_sec,
                t.steady_allocs_per_event, t.world_build_peak_rss_mb,
-               t.p99_query_wall_ms, t.deadline_hit_rate);
+               t.p99_query_wall_ms, t.deadline_hit_rate, t.churn_epoch_us);
   std::fclose(f);
 }
 

@@ -163,6 +163,13 @@ void RecordScaleTelemetry(double bytes_per_peer, double events_per_sec,
 void RecordStragglerTelemetry(double p99_query_wall_ms,
                               double deadline_hit_rate);
 
+// Records the median wall time of one churn epoch (net::ChurnModel::Step)
+// in microseconds. Feeds the `churn_epoch_us` JSON field, which
+// tools/bench_gate.py upper-bounds, threads-matched, whenever the committed
+// baseline recorded it: an epoch costs O(departed + changed peers), and a
+// return to a per-peer scan multiplies it by the world's size over that.
+void RecordChurnEpochTelemetry(double churn_epoch_us);
+
 // Resolves the predicate for a run (explicit predicate wins; otherwise the
 // target selectivity against Zipf(world.zipf_skew)).
 query::RangePredicate ResolvePredicate(const World& world,

@@ -18,7 +18,10 @@
 //   * p99_query_wall_ms / deadline_hit_rate — tail behavior of the same
 //     COUNT under a Pareto-tail + slow-coalition regime, answered by the
 //     full straggler-resilience stack under a deadline (both upper-bounded;
-//     see DESIGN.md, "Straggler semantics").
+//     see DESIGN.md, "Straggler semantics");
+//   * churn_epoch_us — median wall time of one churn epoch at perfbench
+//     churn_faults_async's rates (upper-bounded, threads-matched; DESIGN.md,
+//     "Churn epochs").
 #include <algorithm>
 #include <chrono>
 #include <vector>
@@ -26,8 +29,9 @@
 #include <sys/resource.h>
 
 #include "core/async_engine.h"
-#include "net/fault.h"
 #include "core/catalog.h"
+#include "net/churn.h"
+#include "net/fault.h"
 #include "data/generator.h"
 #include "data/partitioner.h"
 #include "harness.h"
@@ -200,9 +204,32 @@ int Run(int argc, char** argv) {
       static_cast<double>(kStragglerRepeats);
   RecordStragglerTelemetry(p99_query_wall_ms, deadline_hit_rate);
 
+  // Churn tier: epochs at churn_faults_async's rates (1% leave, 20% rejoin,
+  // the sink pinned), stepped last on this world itself — nothing reads it
+  // afterwards, and a clone would double the 10M tier's footprint. The
+  // departed set grows over the first epochs, so the median of nine covers
+  // both a nearly all-alive world and a churning one.
+  net::ChurnParams churn_params;
+  churn_params.leave_probability = 0.01;
+  churn_params.rejoin_probability = 0.2;
+  churn_params.pinned = {kSink};
+  net::ChurnModel churn(churn_params, 8675309);
+  constexpr size_t kChurnEpochs = 9;
+  std::vector<double> epoch_us;
+  epoch_us.reserve(kChurnEpochs);
+  for (size_t epoch = 0; epoch < kChurnEpochs; ++epoch) {
+    auto epoch_start = std::chrono::steady_clock::now();
+    churn.Step(*network);
+    epoch_us.push_back(1e6 * Seconds(epoch_start));
+  }
+  std::sort(epoch_us.begin(), epoch_us.end());
+  const double churn_epoch_us = epoch_us[kChurnEpochs / 2];
+  RecordChurnEpochTelemetry(churn_epoch_us);
+
   util::AsciiTable out({"peers", "build_s", "build_rss_mb", "bytes_per_peer",
                         "events", "events_per_sec", "allocs_per_event",
-                        "estimate", "p99_query_ms", "deadline_hits"});
+                        "estimate", "p99_query_ms", "deadline_hits",
+                        "churn_epoch_us"});
   out.AddRow({util::AsciiTable::FormatInt(static_cast<int64_t>(num_peers)),
               util::AsciiTable::FormatDouble(build_s, 2),
               util::AsciiTable::FormatDouble(build_peak_rss_mb, 0),
@@ -212,7 +239,8 @@ int Run(int argc, char** argv) {
               util::AsciiTable::FormatDouble(steady_allocs_per_event, 3),
               util::AsciiTable::FormatDouble(last.answer.estimate, 0),
               util::AsciiTable::FormatDouble(p99_query_wall_ms, 0),
-              util::AsciiTable::FormatPercent(deadline_hit_rate)});
+              util::AsciiTable::FormatPercent(deadline_hit_rate),
+              util::AsciiTable::FormatDouble(churn_epoch_us, 1)});
   EmitFigure("Scale series: super-peer world, full-domain COUNT",
              "super_fraction=0.02, core_edges=4, leaf_connections=2, "
              "CL=0.25, Z=0.2",

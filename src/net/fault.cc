@@ -115,6 +115,12 @@ bool FaultInjector::IsImmune(graph::NodeId peer) const {
                    peer) != plan_.crash_immune.end();
 }
 
+void FaultInjector::Trace(const FaultEvent& event) {
+  if (trace_.size() == kTraceCapacity) return;
+  if (trace_.empty()) trace_.reserve(kTraceCapacity);
+  trace_.push_back(event);
+}
+
 FaultDecision FaultInjector::OnMessage(MessageType type, graph::NodeId from,
                                        graph::NodeId to,
                                        graph::NodeId crash_candidate) {
@@ -135,7 +141,7 @@ FaultDecision FaultInjector::OnMessage(MessageType type, graph::NodeId from,
     FaultEvent event = base;
     event.kind = FaultKind::kScheduledCrash;
     event.crashed = crash.peer;
-    trace_.push_back(event);
+    Trace(event);
     ++crashes_;
   }
   // Probabilistic crash of the eligible endpoint: the peer is gone and its
@@ -148,7 +154,7 @@ FaultDecision FaultInjector::OnMessage(MessageType type, graph::NodeId from,
     FaultEvent event = base;
     event.kind = FaultKind::kCrash;
     event.crashed = crash_candidate;
-    trace_.push_back(event);
+    Trace(event);
     ++crashes_;
   }
   if (decision.deliver && plan_.drop_probability > 0.0 &&
@@ -156,7 +162,7 @@ FaultDecision FaultInjector::OnMessage(MessageType type, graph::NodeId from,
     decision.deliver = false;
     FaultEvent event = base;
     event.kind = FaultKind::kDrop;
-    trace_.push_back(event);
+    Trace(event);
     ++dropped_;
   }
   if (decision.deliver && plan_.spike_probability > 0.0 &&
@@ -168,7 +174,7 @@ FaultDecision FaultInjector::OnMessage(MessageType type, graph::NodeId from,
     FaultEvent event = base;
     event.kind = FaultKind::kLatencySpike;
     event.spike_ms = spike;
-    trace_.push_back(event);
+    Trace(event);
     ++spikes_;
   }
   // Heavy-tailed straggler delay, drawn last so enabling a tail regime does

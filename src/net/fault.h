@@ -169,11 +169,16 @@ class FaultInjector {
   // synchronous engine rank predictably-tardy peers without spending draws.
   double ExpectedTailDelayMs(graph::NodeId responder) const;
 
-  // Every injected fault, in injection order.
+  // The first kTraceCapacity injected faults, in injection order. Later
+  // faults still count above but are not traced, so a long lossy run
+  // neither grows the trace without bound nor allocates in a warm drain:
+  // the first fault reserves the whole capacity.
+  static constexpr size_t kTraceCapacity = 4096;
   const std::vector<FaultEvent>& trace() const { return trace_; }
 
  private:
   bool IsImmune(graph::NodeId peer) const;
+  void Trace(const FaultEvent& event);
 
   FaultPlan plan_;
   util::Rng rng_;

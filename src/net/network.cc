@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "util/parallel.h"
 
@@ -16,6 +17,19 @@ namespace {
 // index -> thread placement changes.
 constexpr util::ParallelOptions kStaticBlocks{
     .threads = 0, .partition = util::Partition::kStatic};
+
+// Transport refusals and losses, as util::Status::Static messages: a lossy
+// or churning drain refuses and loses messages all the time, and each
+// failed send must stay allocation-free like a delivered one.
+const std::string kOutOfRange = "endpoint out of range";
+const std::string kNoConnection = "no overlay connection";
+const std::string kEndpointDeparted = "endpoint departed";
+const std::string kCrashedMidQuery = "peer crashed mid-query";
+const std::string kDroppedInTransit = "message dropped in transit";
+
+util::Status Unavailable(const std::string& message) {
+  return util::Status::Static(util::StatusCode::kUnavailable, message);
+}
 
 }  // namespace
 
@@ -80,7 +94,10 @@ util::Result<SimulatedNetwork> SimulatedNetwork::Make(
 
 SimulatedNetwork SimulatedNetwork::Clone(uint64_t seed) const {
   SimulatedNetwork copy(graph_, peers_, params_, util::Rng(seed));
-  copy.num_alive_ = num_alive_;
+  if (!departed_.empty()) {
+    copy.departed_.reserve(peers_.size());
+    copy.departed_.assign(departed_.begin(), departed_.end());
+  }
   if (fault_.has_value()) {
     copy.fault_.emplace(fault_->plan(), util::MixSeed(seed ^ 0xFA177ULL),
                         peers_.size());
@@ -102,7 +119,16 @@ void SimulatedNetwork::SetAlive(graph::NodeId id, bool alive) {
   Peer& p = peers_[id];
   if (p.alive() == alive) return;
   p.set_alive(alive);
-  num_alive_ += alive ? 1 : -1;
+  if (alive) {
+    const graph::NodeId moved = departed_.back();
+    departed_[p.departed_slot_] = moved;
+    peers_[moved].departed_slot_ = p.departed_slot_;
+    departed_.pop_back();
+  } else {
+    if (departed_.capacity() < peers_.size()) departed_.reserve(peers_.size());
+    p.departed_slot_ = static_cast<uint32_t>(departed_.size());
+    departed_.push_back(id);
+  }
   if (history_ != nullptr) {
     history_->Record(
         alive ? HistoryEventKind::kPeerUp : HistoryEventKind::kPeerDown,
@@ -126,7 +152,7 @@ void SimulatedNetwork::AliveNeighborsInto(graph::NodeId id,
 }
 
 uint32_t SimulatedNetwork::AliveDegree(graph::NodeId id) const {
-  if (num_alive_ == peers_.size()) return graph_.degree(id);
+  if (departed_.empty()) return graph_.degree(id);
   uint32_t deg = 0;
   for (graph::NodeId v : graph_.neighbors(id)) {
     if (peers_[v].alive()) ++deg;
@@ -136,7 +162,7 @@ uint32_t SimulatedNetwork::AliveDegree(graph::NodeId id) const {
 
 ForwardingView SimulatedNetwork::ForwardingSet(
     graph::NodeId holder, std::vector<graph::NodeId>* scratch) {
-  if (num_alive_ == peers_.size() && !adversary_.has_value()) {
+  if (departed_.empty() && !adversary_.has_value()) {
     return ForwardingView(graph_.neighbors(holder));
   }
   AliveNeighborsInto(holder, scratch);
@@ -240,13 +266,15 @@ util::Status SimulatedNetwork::Transmit(MessageType type, graph::NodeId from,
                                         uint32_t batch, bool overlay_hop,
                                         double* transit_ms) {
   if (from >= peers_.size() || to >= peers_.size()) {
-    return util::Status::InvalidArgument("endpoint out of range");
+    return util::Status::Static(util::StatusCode::kInvalidArgument,
+                                kOutOfRange);
   }
   if (overlay_hop && !graph_.HasEdge(from, to)) {
-    return util::Status::InvalidArgument("no overlay connection");
+    return util::Status::Static(util::StatusCode::kInvalidArgument,
+                                kNoConnection);
   }
   if (!peers_[from].alive() || !peers_[to].alive()) {
-    return util::Status::Unavailable("endpoint departed");
+    return Unavailable(kEndpointDeparted);
   }
   if (overlay_hop) cost_.RecordWalkerHops(1);
   if (batch > 1) {
@@ -267,7 +295,7 @@ util::Status SimulatedNetwork::Transmit(MessageType type, graph::NodeId from,
   // once; replies overlap the walk, so only the message cost (not latency on
   // the critical path) is charged beyond a single hop-equivalent.
   double transit = SampleHopLatency() * (overlay_hop ? 1.0 : 0.5);
-  const char* lost = nullptr;
+  const std::string* lost = nullptr;
   if (fault_.has_value()) {
     // The message is on the wire (cost already charged) when faults strike:
     // drops lose it silently, crashes take an endpoint down with it.
@@ -275,9 +303,9 @@ util::Status SimulatedNetwork::Transmit(MessageType type, graph::NodeId from,
                                        CrashCandidate(type, from, to));
     transit += faults.extra_latency_ms;
     if (!peers_[from].alive() || !peers_[to].alive()) {
-      lost = "peer crashed mid-query";
+      lost = &kCrashedMidQuery;
     } else if (!faults.deliver) {
-      lost = "message dropped in transit";
+      lost = &kDroppedInTransit;
     }
   }
   cost_.RecordLatency(transit);
@@ -293,7 +321,7 @@ util::Status SimulatedNetwork::Transmit(MessageType type, graph::NodeId from,
         lost == nullptr ? HistoryEventKind::kDeliver : HistoryEventKind::kDrop,
         type, from, to, batch);
   }
-  return lost == nullptr ? util::Status::Ok() : util::Status::Unavailable(lost);
+  return lost == nullptr ? util::Status::Ok() : Unavailable(*lost);
 }
 
 double SimulatedNetwork::LocalScanLatency(graph::NodeId peer_id,

@@ -161,15 +161,23 @@ class SimulatedNetwork {
 
   const graph::Graph& graph() const { return graph_; }
   size_t num_peers() const { return peers_.size(); }
-  size_t num_alive() const { return num_alive_; }
+  size_t num_alive() const { return peers_.size() - departed_.size(); }
+
+  // The peers currently down, each once, in no particular order (a departure
+  // appends; a rejoin moves the last entry into the freed place). Kept by
+  // SetAlive, so churn, crash faults and loaded worlds all show here, and
+  // a churn epoch can visit the departed without scanning every peer.
+  const std::vector<graph::NodeId>& departed() const { return departed_; }
 
   const Peer& peer(graph::NodeId id) const;
 
   bool IsAlive(graph::NodeId id) const { return peers_[id].alive(); }
   // Marks a peer as departed/re-joined (Gnutella-style churn: connections of
-  // a dead peer are simply unusable until it returns). Updates num_alive().
-  // The only way liveness changes: ForwardingSet and AliveDegree trust
-  // num_alive() == num_peers() to mean "no peer is down".
+  // a dead peer are simply unusable until it returns). Updates departed()
+  // and num_alive() in O(1). The only way liveness changes: ForwardingSet
+  // and AliveDegree trust an empty departed() to mean "no peer is down".
+  // The first departure reserves the departed list for every peer, so no
+  // later one allocates; a world where every peer stays up never pays it.
   void SetAlive(graph::NodeId id, bool alive);
 
   // Neighbors of `id` that are currently alive.
@@ -312,7 +320,6 @@ class SimulatedNetwork {
       : graph_(std::move(graph)),
         peers_(std::move(peers)),
         params_(params),
-        num_alive_(peers_.size()),
         rng_(std::move(rng)) {}
 
   double SampleHopLatency();
@@ -336,7 +343,7 @@ class SimulatedNetwork {
   graph::Graph graph_;
   PeerStore peers_;
   NetworkParams params_;
-  size_t num_alive_;
+  std::vector<graph::NodeId> departed_;
   CostTracker cost_;
   util::Rng rng_;
   std::optional<FaultInjector> fault_;

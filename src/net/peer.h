@@ -61,9 +61,15 @@ class Peer {
   }
 
  private:
+  friend class SimulatedNetwork;
+
   graph::NodeId id_ = graph::kInvalidNode;
   uint32_t ipv4_ = 0;
   uint16_t port_ = 0;
+  // While departed: this peer's index in SimulatedNetwork's departed list,
+  // which that class alone maintains. Sits in the padding before
+  // capabilities_, so it costs no bytes per peer.
+  uint32_t departed_slot_ = 0;
   PeerCapabilities capabilities_;
   bool alive_ = true;
   uint64_t incarnation_ = 0;

@@ -26,6 +26,14 @@ enum class InjectedBug {
   // The multi-query scheduler credits carried-over frame selections as hits
   // twice, corrupting the frame-accounting ledger.
   kDoubleCountFrameHits,
+  // A churn epoch advances its leave scan by the geometric skip alone,
+  // without the +1 past the candidate it just visited: a zero skip revisits
+  // that id, so the epoch draws about 1/(1 - p_leave) times the Bernoulli
+  // (p_leave)-per-id candidates (and never ends at p_leave = 1).
+  kChurnSkipWithoutStride,
+  // A churn epoch snapshots its rejoin candidates after the leave pass, so a
+  // peer that left in this epoch may rejoin in it too.
+  kChurnRejoinSameEpoch,
 };
 
 // Currently armed bug (kNone in production).

@@ -25,9 +25,9 @@ const char* StatusCodeToString(StatusCode code) {
 std::string Status::ToString() const {
   if (ok()) return "OK";
   std::string result = StatusCodeToString(code_);
-  if (!message_.empty()) {
+  if (!message().empty()) {
     result += ": ";
-    result += message_;
+    result += message();
   }
   return result;
 }

@@ -52,10 +52,21 @@ class Status {
   static Status Internal(std::string message) {
     return Status(StatusCode::kInternal, std::move(message));
   }
+  // A status whose message lives elsewhere for the whole run (a
+  // namespace-scope constant): the status and every copy of it only point
+  // at `message`, so making or returning one never allocates. For paths
+  // that fail as a matter of course, such as a message lost in transit.
+  static Status Static(StatusCode code, const std::string& message) {
+    Status status(code, std::string());
+    status.static_message_ = &message;
+    return status;
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  const std::string& message() const {
+    return static_message_ != nullptr ? *static_message_ : message_;
+  }
 
   // "OK" or "INVALID_ARGUMENT: jump size must be positive".
   std::string ToString() const;
@@ -63,6 +74,7 @@ class Status {
  private:
   StatusCode code_;
   std::string message_;
+  const std::string* static_message_ = nullptr;
 };
 
 inline bool operator==(const Status& a, const Status& b) {

@@ -141,6 +141,43 @@ class Fnv1a {
   uint64_t hash_ = 0xCBF29CE484222325ULL;
 };
 
+// Rebirths of a peer that went down holding a walker token it had not
+// forwarded, each counted once the walk traffic goes on after it.
+size_t CountHolderRebirths(const std::vector<net::HistoryEvent>& events,
+                           size_t num_peers) {
+  std::vector<uint8_t> holding(num_peers, 0);
+  std::vector<uint8_t> died_holding(num_peers, 0);
+  size_t pending = 0;
+  size_t rebirths = 0;
+  for (const net::HistoryEvent& e : events) {
+    const bool walker = e.type == net::MessageType::kWalker;
+    switch (e.kind) {
+      case net::HistoryEventKind::kDeliver:
+        if (walker) holding[e.to] = 1;
+        break;
+      case net::HistoryEventKind::kSend:
+        if (!walker) break;
+        holding[e.from] = 0;
+        rebirths += pending;
+        pending = 0;
+        break;
+      case net::HistoryEventKind::kPeerDown:
+        died_holding[e.from] = holding[e.from];
+        holding[e.from] = 0;
+        break;
+      case net::HistoryEventKind::kPeerUp:
+        if (died_holding[e.from]) {
+          died_holding[e.from] = 0;
+          ++pending;
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  return rebirths;
+}
+
 uint64_t ComputeDigest(const std::vector<AnswerRecord>& answers,
                        const net::CostSnapshot& cost,
                        const std::vector<net::HistoryEvent>& events) {
@@ -397,6 +434,10 @@ ChaosRunReport RunChaosPlan(const ChaosPlan& plan) {
   }
 
   report.history_events = history.size();
+  report.churn_transitions =
+      churn.counters().departures + churn.counters().rejoins;
+  report.holder_rebirths = CountHolderRebirths(history.events(),
+                                               network.num_peers());
   report.digest =
       ComputeDigest(report.answers, network.cost_snapshot(), history.events());
   network.set_history(nullptr);

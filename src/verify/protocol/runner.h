@@ -26,6 +26,13 @@ struct ChaosRunReport {
   // the same plan must produce the same digest (replay invariance).
   uint64_t digest = 0;
   size_t history_events = 0;
+  // Reachability of the churn stressor: liveness flips the churn model
+  // applied (departures + rejoins), and rebirths of a peer that died
+  // holding an unforwarded walker token, with walker traffic still going on
+  // after the rebirth. A fixed-seed plan that exists to exercise churn
+  // asserts these instead of trusting its digest.
+  uint64_t churn_transitions = 0;
+  size_t holder_rebirths = 0;
   size_t answers_ok = 0;
   size_t answers_failed = 0;
   std::vector<AnswerRecord> answers;

@@ -266,7 +266,18 @@ enum class AsyncCase {
   kChurnWithDeadline,
 };
 
-uint64_t AsyncDigest(AsyncCase which) {
+// One async case's outcome: the digest the golden table pins, plus what
+// the property checks below read directly.
+struct AsyncRun {
+  uint64_t digest = 0;
+  util::Result<core::AsyncQueryReport> report =
+      util::Status::Internal("not run");
+  size_t phase1_requested = 0;
+  double deadline_ms = 0.0;
+  net::ChurnCounters churn;
+};
+
+AsyncRun RunAsyncCase(AsyncCase which) {
   TestNetwork tn = MakeTestNetwork(SmallWorld());
   net::HistoryRecorder history;
   tn.network.set_history(&history);
@@ -332,8 +343,16 @@ uint64_t AsyncDigest(AsyncCase which) {
   }
   AddHistory(history, &d);
   tn.network.set_history(nullptr);
-  return d.value();
+  AsyncRun run;
+  run.digest = d.value();
+  run.report = std::move(report);
+  run.phase1_requested = params.engine.phase1_peers;
+  run.deadline_ms = params.engine.deadline_ms;
+  run.churn = churn.counters();
+  return run;
 }
+
+uint64_t AsyncDigest(AsyncCase which) { return RunAsyncCase(which).digest; }
 
 TEST(EngineGoldenTest, AsyncSessionMatchesPinnedDigests) {
   const GoldenCase golden[] = {
@@ -344,13 +363,33 @@ TEST(EngineGoldenTest, AsyncSessionMatchesPinnedDigests) {
       {"deadline_hit", 0xf7bed4008d09c17dull},
       {"deadline_starves_phase1", 0xd4858fad8a72d87dull},
       {"deadline_before_first_reply", 0x5bf2d0dd837dff9full},
-      {"churn_with_deadline", 0x889b0ae69d03b493ull},
+      // Re-pinned when churn epochs moved to geometric leave skips: same
+      // per-peer law, new churn stream (DESIGN.md, "Churn epochs").
+      {"churn_with_deadline", 0xc9d6c60bc203b2e5ull},
   };
   for (size_t i = 0; i < std::size(golden); ++i) {
     uint64_t actual = AsyncDigest(static_cast<AsyncCase>(i));
     EXPECT_EQ(actual, golden[i].digest)
         << golden[i].name << ": actual 0x" << std::hex << actual << "ull";
   }
+}
+
+// The churn cell pins one churn stream; the property its comment names
+// must hold on whatever stream is pinned, so it is checked here directly:
+// churn ran, the deadline cut phase I with enough replies to cross-validate
+// a plan, and phase II never started.
+TEST(EngineGoldenTest, ChurnWithDeadlineCutsPhaseOneAndSkipsPhaseTwo) {
+  AsyncRun run = RunAsyncCase(AsyncCase::kChurnWithDeadline);
+  EXPECT_GT(run.churn.epochs, 0u);
+  EXPECT_GT(run.churn.departures + run.churn.rejoins, 0u);
+  ASSERT_TRUE(run.report.ok()) << run.report.status().ToString();
+  const core::ApproximateAnswer& answer = run.report->answer;
+  EXPECT_TRUE(answer.deadline_hit);
+  EXPECT_GE(answer.phase1_peers, 2u);
+  EXPECT_LT(answer.phase1_peers, run.phase1_requested);
+  EXPECT_LT(answer.achieved_error, 1.0);
+  EXPECT_EQ(answer.phase2_peers, 0u);
+  EXPECT_LE(run.report->phase1_done_ms, run.deadline_ms);
 }
 
 // ---- Multi-query scheduler: three regimes, three batches each. ----

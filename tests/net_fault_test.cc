@@ -215,6 +215,20 @@ TEST(FaultInjectorTest, SameSeedReplaysIdenticalTrace) {
             a.dropped() + a.spikes() + a.crashes());
 }
 
+TEST(FaultInjectorTest, TraceStopsAtItsCapacityWhileCountersGoOn) {
+  FaultPlan plan;
+  plan.drop_probability = 1.0;
+  FaultInjector injector(plan, 99);
+  const uint64_t messages = FaultInjector::kTraceCapacity + 500;
+  for (uint64_t i = 0; i < messages; ++i) {
+    EXPECT_FALSE(injector.OnMessage(MessageType::kWalker, 0, 1, 1).deliver);
+  }
+  EXPECT_EQ(injector.dropped(), messages);
+  ASSERT_EQ(injector.trace().size(), FaultInjector::kTraceCapacity);
+  EXPECT_EQ(injector.trace().back().message_index,
+            FaultInjector::kTraceCapacity - 1);
+}
+
 TEST(FaultInjectorTest, KindNamesAreDistinct) {
   EXPECT_STRNE(FaultKindToString(FaultKind::kDrop),
                FaultKindToString(FaultKind::kLatencySpike));

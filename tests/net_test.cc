@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -379,6 +381,149 @@ TEST(ChurnTest, RunOnEventQueueTicksWhileWorkIsPending) {
   EXPECT_TRUE(network.IsAlive(0));
 }
 
+// Ids that are down, by brute-force scan, ascending.
+std::vector<graph::NodeId> ScanDeparted(const SimulatedNetwork& network) {
+  std::vector<graph::NodeId> down;
+  for (graph::NodeId v = 0; v < network.num_peers(); ++v) {
+    if (!network.IsAlive(v)) down.push_back(v);
+  }
+  return down;
+}
+
+std::vector<graph::NodeId> SortedDeparted(const SimulatedNetwork& network) {
+  std::vector<graph::NodeId> down = network.departed();
+  std::sort(down.begin(), down.end());
+  return down;
+}
+
+bool Contains(const std::vector<graph::NodeId>& ids, graph::NodeId id) {
+  return std::find(ids.begin(), ids.end(), id) != ids.end();
+}
+
+TEST(ChurnTest, CertainLeaveAndRejoinComplementTheUnpinnedSet) {
+  SimulatedNetwork network = MakePathNetwork(300, 8);
+  util::Rng rng(3);
+  for (graph::NodeId v = 0; v < 300; ++v) {
+    if (rng.Bernoulli(0.3)) network.SetAlive(v, false);
+  }
+  network.SetAlive(10, false);  // A pinned peer that is down...
+  network.SetAlive(20, true);   // ...and one that is up.
+  ChurnParams params;
+  params.leave_probability = 1.0;
+  params.rejoin_probability = 1.0;
+  params.pinned = {10, 20};
+  ChurnModel churn(params, 17);
+  std::vector<bool> before(300);
+  for (graph::NodeId v = 0; v < 300; ++v) before[v] = network.IsAlive(v);
+  const size_t changes = churn.Step(network);
+  EXPECT_EQ(changes, 298u);
+  for (graph::NodeId v = 0; v < 300; ++v) {
+    const bool pinned = v == 10 || v == 20;
+    EXPECT_EQ(network.IsAlive(v), pinned ? before[v] : !before[v])
+        << "peer " << v;
+  }
+  EXPECT_EQ(SortedDeparted(network), ScanDeparted(network));
+  // The next epoch complements again: back where it started.
+  churn.Step(network);
+  for (graph::NodeId v = 0; v < 300; ++v) {
+    EXPECT_EQ(network.IsAlive(v), before[v]) << "peer " << v;
+  }
+}
+
+TEST(ChurnTest, PinnedPeersNeverFlip) {
+  SimulatedNetwork network = MakePathNetwork(400, 9);
+  network.SetAlive(7, false);
+  ChurnParams params;
+  params.leave_probability = 0.5;
+  params.rejoin_probability = 0.5;
+  params.pinned = {0, 7, 399};
+  ChurnModel churn(params, 19);
+  for (int epoch = 0; epoch < 40; ++epoch) {
+    churn.Step(network);
+    ASSERT_TRUE(network.IsAlive(0)) << "epoch " << epoch;
+    ASSERT_FALSE(network.IsAlive(7)) << "epoch " << epoch;
+    ASSERT_TRUE(network.IsAlive(399)) << "epoch " << epoch;
+  }
+  EXPECT_GT(churn.counters().departures, 0u);
+  EXPECT_GT(churn.counters().rejoins, 0u);
+}
+
+// Each epoch's counters against a brute-force reading of the world before
+// and after it: every departure was a live unpinned leave candidate, every
+// rejoin draw an unpinned peer down at the epoch's start, and no peer
+// flipped twice.
+TEST(ChurnTest, EpochCountersMatchABruteForceScan) {
+  SimulatedNetwork network = MakePathNetwork(500, 10);
+  ChurnParams params;
+  params.leave_probability = 0.2;
+  params.rejoin_probability = 0.4;
+  params.pinned = {0, 250};
+  ChurnModel churn(params, 23);
+  for (int epoch = 0; epoch < 20; ++epoch) {
+    const std::vector<graph::NodeId> down_before = ScanDeparted(network);
+    size_t unpinned_down = 0;
+    for (graph::NodeId v : down_before) {
+      if (v != 0 && v != 250) ++unpinned_down;
+    }
+    const ChurnCounters before = churn.counters();
+    const size_t changes = churn.Step(network);
+    const ChurnCounters& after = churn.counters();
+    const std::vector<graph::NodeId> down_after = ScanDeparted(network);
+    size_t left = 0;
+    size_t returned = 0;
+    for (graph::NodeId v = 0; v < 500; ++v) {
+      const bool was_down = Contains(down_before, v);
+      const bool is_down = Contains(down_after, v);
+      left += !was_down && is_down;
+      returned += was_down && !is_down;
+    }
+    ASSERT_EQ(after.epochs, before.epochs + 1);
+    ASSERT_EQ(after.departures - before.departures, left) << epoch;
+    ASSERT_EQ(after.rejoins - before.rejoins, returned) << epoch;
+    ASSERT_EQ(after.rejoin_draws - before.rejoin_draws, unpinned_down)
+        << epoch;
+    ASSERT_GE(after.leave_candidates - before.leave_candidates, left);
+    ASSERT_EQ(changes, left + returned) << epoch;
+    ASSERT_EQ(SortedDeparted(network), down_after) << epoch;
+    ASSERT_EQ(network.num_alive(), 500 - down_after.size()) << epoch;
+  }
+}
+
+// A vanishing leave probability over a large id range must end the scan at
+// once: the geometric skip saturates at the range instead of overflowing.
+TEST(ChurnTest, TinyLeaveProbabilityTerminatesWithoutOverflow) {
+  constexpr size_t kPeers = size_t{1} << 20;
+  auto network = SimulatedNetwork::Make(graph::GraphBuilder(kPeers).Build(),
+                                        {}, NetworkParams{}, 12);
+  ASSERT_TRUE(network.ok());
+  for (double p : {1e-12, 1e-300, std::numeric_limits<double>::denorm_min()}) {
+    ChurnParams params;
+    params.leave_probability = p;
+    params.rejoin_probability = 0.0;
+    ChurnModel churn(params, 29);
+    for (int epoch = 0; epoch < 100; ++epoch) {
+      EXPECT_EQ(churn.Step(*network), 0u) << "p " << p;
+    }
+    EXPECT_EQ(churn.counters().epochs, 100u);
+    EXPECT_EQ(churn.counters().leave_candidates, 0u) << "p " << p;
+  }
+  EXPECT_EQ(network->num_alive(), kPeers);
+  EXPECT_TRUE(network->departed().empty());
+}
+
+TEST(ChurnTest, ZeroProbabilitiesDrawNothing) {
+  SimulatedNetwork network = MakePathNetwork(100, 13);
+  network.SetAlive(5, false);
+  ChurnParams params;
+  params.leave_probability = 0.0;
+  params.rejoin_probability = 0.0;
+  ChurnModel churn(params, 31);
+  EXPECT_EQ(churn.Step(network), 0u);
+  EXPECT_EQ(churn.counters().leave_candidates, 0u);
+  EXPECT_EQ(churn.counters().rejoin_draws, 0u);
+  EXPECT_EQ(network.departed(), std::vector<graph::NodeId>{5});
+}
+
 // --- Forwarding view -----------------------------------------------------
 // Both walkers draw their next hop from SimulatedNetwork::ForwardingSet,
 // which skips every liveness probe while num_alive() == num_peers(). These
@@ -416,6 +561,7 @@ size_t CountAlive(const SimulatedNetwork& network) {
 void ExpectViewMatches(SimulatedNetwork& network, const std::string& state) {
   SCOPED_TRACE(state);
   ASSERT_EQ(network.num_alive(), CountAlive(network));
+  ASSERT_EQ(SortedDeparted(network), ScanDeparted(network));
   const bool csr_path = network.num_alive() == network.num_peers() &&
                         network.adversary() == nullptr;
   std::vector<graph::NodeId> scratch;
@@ -488,6 +634,8 @@ TEST_P(ForwardingViewTest, NumAliveMatchesBruteForceCount) {
   for (int epoch = 0; epoch < 5; ++epoch) {
     churn.Step(network);
     ASSERT_EQ(network.num_alive(), CountAlive(network)) << "epoch " << epoch;
+    ASSERT_EQ(SortedDeparted(network), ScanDeparted(network))
+        << "epoch " << epoch;
   }
 
   FaultPlan faults;
@@ -515,7 +663,15 @@ TEST_P(ForwardingViewTest, NumAliveMatchesBruteForceCount) {
   SimulatedNetwork clone = network.Clone(99);
   EXPECT_EQ(clone.num_alive(), CountAlive(clone));
   EXPECT_EQ(clone.num_alive(), network.num_alive());
+  EXPECT_EQ(SortedDeparted(clone), SortedDeparted(network));
   ExpectViewMatches(clone, "clone");
+  // The clone's departed set is its own: churning it leaves the original's.
+  const std::vector<graph::NodeId> original_down = SortedDeparted(network);
+  churn.Step(clone);
+  churn.Step(clone);
+  ExpectViewMatches(clone, "churned clone");
+  EXPECT_EQ(SortedDeparted(network), original_down);
+  EXPECT_EQ(ScanDeparted(network), original_down);
 
   const std::string path =
       ::testing::TempDir() + "/net_test_forwarding_world.p2pw";

@@ -63,6 +63,12 @@ TEST(ProtocolCorpusTest, EveryCorpusPlanPassesAllOracles) {
     for (const std::string& v : report.violations) dump += "\n  " + v;
     EXPECT_TRUE(report.violations.empty())
         << entry.file << ": " << entry.line << dump;
+    // A plan that churns must still reach churn on whatever stream the
+    // churn model draws, or its digest guards nothing about churn.
+    if (plan->churn_enabled()) {
+      EXPECT_GT(report.churn_transitions, 0u)
+          << entry.file << ": churn never flipped a peer: " << entry.line;
+    }
   }
 }
 

@@ -151,7 +151,9 @@ ChaosPlan DedupBugPlan() {
   plan.drop_pm = 50;
   plan.churn_leave_pm = 20;
   plan.churn_rejoin_pm = 300;
-  plan.churn_steps = 1;
+  // Two inter-batch epochs: one left the world untouched on the current
+  // churn stream (the test below asserts that churn fires).
+  plan.churn_steps = 2;
   plan.adversary_pm = 400;
   plan.behavior_mask = 1u << 5;  // kReplay.
   return plan;
@@ -163,6 +165,7 @@ TEST(SeededBugTest, DisabledReplyDedupIsCaughtAndShrinks) {
   ChaosRunReport report = RunChaosPlan(plan);
   ASSERT_TRUE(report.failed())
       << "armed dedup bug not detected: " << SerializeChaosPlan(plan);
+  EXPECT_GT(report.churn_transitions, 0u) << "the plan's churn never fired";
   bool dedup_violation = false;
   for (const std::string& v : report.violations) {
     dedup_violation |= v.find("accepted more than once") != std::string::npos;
@@ -270,6 +273,10 @@ TEST(ProtocolRegressionTest, AsyncChurnRejoinCannotResumeStaleSession) {
   ChaosRunReport report = RunChaosPlan(plan);
   EXPECT_TRUE(report.violations.empty()) << FailureDump(report);
   EXPECT_GT(report.history_events, 0u);
+  // The rule is only exercised if a token holder actually died and was
+  // reborn while walks were still in flight.
+  EXPECT_GT(report.churn_transitions, 0u);
+  EXPECT_GT(report.holder_rebirths, 0u);
 }
 
 TEST(ProtocolRegressionTest, IncarnationBumpsOnRebirthOnly) {

@@ -46,6 +46,7 @@ BASE = {
     "p99_query_wall_ms": 1000.0,
     "deadline_hit_rate": 0.1,
     "events_per_sec": 1000000.0,
+    "churn_epoch_us": 100.0,
 }
 
 # Per field: a value that must trip the rule on BASE, and a regression the
@@ -59,6 +60,7 @@ TRIP = {
     "p99_query_wall_ms": 1101.0,
     "deadline_hit_rate": 0.121,
     "events_per_sec": 749000.0,
+    "churn_epoch_us": 251.0,
     "wall_time_s": 13.1,
 }
 TOLERATED = {
@@ -70,6 +72,7 @@ TOLERATED = {
     "p99_query_wall_ms": 1099.0,
     "deadline_hit_rate": 0.119,
     "events_per_sec": 751000.0,
+    "churn_epoch_us": 249.0,
     "wall_time_s": 12.9,
 }
 
@@ -86,10 +89,11 @@ SWITCH_OFF = {
     "p99_query_wall_ms": 0.0,
     "deadline_hit_rate": 0.0,
     "events_per_sec": 0.0,
+    "churn_epoch_us": 0.0,
     "wall_time_s": ALWAYS,
 }
 # Wall-clock rules, compared only when the thread counts match.
-WALL_CLOCK = {"events_per_sec", "wall_time_s"}
+WALL_CLOCK = {"events_per_sec", "churn_epoch_us", "wall_time_s"}
 
 
 class BenchGateSelfTest(unittest.TestCase):
