@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 
 #include "util/env.h"
 #include "util/parallel.h"
@@ -55,8 +56,10 @@ struct BenchTelemetry {
   // binaries that never run one.
   double p99_query_wall_ms = 0.0;
   double deadline_hit_rate = 0.0;
-  // Median wall time of one churn epoch (us); 0 = not recorded.
+  // Median wall time of one churn epoch (us), and the drain rate on the
+  // churned world; 0 = not recorded.
   double churn_epoch_us = 0.0;
+  double churned_events_per_sec = 0.0;
 };
 
 BenchTelemetry& Telemetry() {
@@ -107,10 +110,12 @@ void RecordStragglerTelemetry(double p99_query_wall_ms,
   t.deadline_hit_rate = deadline_hit_rate;
 }
 
-void RecordChurnEpochTelemetry(double churn_epoch_us) {
+void RecordChurnTelemetry(double churn_epoch_us,
+                          double churned_events_per_sec) {
   BenchTelemetry& t = Telemetry();
   std::lock_guard<std::mutex> lock(t.mu);
   t.churn_epoch_us = churn_epoch_us;
+  t.churned_events_per_sec = churned_events_per_sec;
 }
 
 // Normalized error per op (Sec. 5.5: errors in [0, 1]).
@@ -523,6 +528,15 @@ void EmitFigure(const std::string& title, const std::string& setup,
   double wall_s = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t.start)
                       .count();
+  // CPU time of every thread of the process so far: unlike the wall time,
+  // it does not grow while a shared host keeps the binary waiting for a
+  // core, so a tight relative bound on it catches a slowdown of a binary
+  // that runs in a fraction of a second.
+  struct timespec cpu;
+  const double cpu_s =
+      clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &cpu) == 0
+          ? static_cast<double>(cpu.tv_sec) + 1e-9 * cpu.tv_nsec
+          : 0.0;
   double n = t.experiments > 0 ? static_cast<double>(t.experiments) : 1.0;
   std::string path = "BENCH_" + io.name + ".json";
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -534,6 +548,7 @@ void EmitFigure(const std::string& title, const std::string& setup,
                "{\n"
                "  \"name\": \"%s\",\n"
                "  \"wall_time_s\": %.6f,\n"
+               "  \"cpu_time_s\": %.6f,\n"
                "  \"threads\": %zu,\n"
                "  \"scale\": %.4f,\n"
                "  \"experiments\": %zu,\n"
@@ -552,9 +567,11 @@ void EmitFigure(const std::string& title, const std::string& setup,
                "  \"world_build_peak_rss_mb\": %.1f,\n"
                "  \"p99_query_wall_ms\": %.1f,\n"
                "  \"deadline_hit_rate\": %.4f,\n"
-               "  \"churn_epoch_us\": %.1f\n"
+               "  \"churn_epoch_us\": %.1f,\n"
+               "  \"churned_events_per_sec\": %.1f,\n"
+               "  \"churned_drain_ratio\": %.4f\n"
                "}\n",
-               io.name.c_str(), wall_s,
+               io.name.c_str(), wall_s, cpu_s,
                util::ParallelThreads(),
                ScaleFactor(),
                t.experiments, t.messages / n, t.bytes / n,
@@ -568,7 +585,11 @@ void EmitFigure(const std::string& title, const std::string& setup,
                    : 0.0,
                t.sched_frame_hits, t.bytes_per_peer, t.events_per_sec,
                t.steady_allocs_per_event, t.world_build_peak_rss_mb,
-               t.p99_query_wall_ms, t.deadline_hit_rate, t.churn_epoch_us);
+               t.p99_query_wall_ms, t.deadline_hit_rate, t.churn_epoch_us,
+               t.churned_events_per_sec,
+               t.events_per_sec > 0.0
+                   ? t.churned_events_per_sec / t.events_per_sec
+                   : 0.0);
   std::fclose(f);
 }
 

@@ -163,12 +163,19 @@ void RecordScaleTelemetry(double bytes_per_peer, double events_per_sec,
 void RecordStragglerTelemetry(double p99_query_wall_ms,
                               double deadline_hit_rate);
 
-// Records the median wall time of one churn epoch (net::ChurnModel::Step)
-// in microseconds. Feeds the `churn_epoch_us` JSON field, which
-// tools/bench_gate.py upper-bounds, threads-matched, whenever the committed
-// baseline recorded it: an epoch costs O(departed + changed peers), and a
-// return to a per-peer scan multiplies it by the world's size over that.
-void RecordChurnEpochTelemetry(double churn_epoch_us);
+// Records the churn tier: the median wall time of one churn epoch
+// (net::ChurnModel::Step) in microseconds, and the event-core drain rate of
+// the warm repeats replayed on the world those epochs churned. Feeds the
+// `churn_epoch_us` and `churned_events_per_sec` JSON fields, plus
+// `churned_drain_ratio` (the churned rate over `events_per_sec`), which
+// tools/bench_gate.py bounds (the epoch above, the rate and the ratio
+// below), threads-matched, whenever the committed baseline recorded them:
+// an epoch costs O(departed + changed peers), and a return to a per-peer
+// scan multiplies it by the world's size over that; a hop past dead peers
+// reads the CSR list in place, and a return to materialising the live
+// neighbours drops the churned drain below its floors.
+void RecordChurnTelemetry(double churn_epoch_us,
+                          double churned_events_per_sec);
 
 // Resolves the predicate for a run (explicit predicate wins; otherwise the
 // target selectivity against Zipf(world.zipf_skew)).

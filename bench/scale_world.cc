@@ -21,7 +21,13 @@
 //     see DESIGN.md, "Straggler semantics");
 //   * churn_epoch_us — median wall time of one churn epoch at perfbench
 //     churn_faults_async's rates (upper-bounded, threads-matched; DESIGN.md,
-//     "Churn epochs").
+//     "Churn epochs");
+//   * churned_events_per_sec — the warm COUNT repeats again, drained on the
+//     world those epochs left with peers down, where every walker hop reads
+//     its holder's list through the liveness filter; the harness also
+//     writes its ratio to events_per_sec, churned_drain_ratio, which a
+//     host's speed swings cancel out of (both lower-bounded,
+//     threads-matched; docs/PERFORMANCE.md, "The forwarding view").
 #include <algorithm>
 #include <chrono>
 #include <vector>
@@ -139,22 +145,30 @@ int Run(int argc, char** argv) {
   constexpr size_t kMeasuredRepeats = 128;
   uint64_t total_events = 0;
   uint64_t total_drain_allocs = 0;
-  double total_query_s = 0.0;
+  // Drains the measured repeats, leaving the last report in `*last`;
+  // returns their events per second, or a negative value when a query
+  // fails.
+  auto measure_repeats = [&](core::AsyncQueryReport* last) {
+    total_events = 0;
+    total_drain_allocs = 0;
+    double total_query_s = 0.0;
+    for (size_t repeat = 0; repeat < kMeasuredRepeats; ++repeat) {
+      util::Rng rng(999331);
+      auto query_start = std::chrono::steady_clock::now();
+      auto report = session.Execute(query, kSink, rng);
+      total_query_s += Seconds(query_start);
+      if (!report.ok()) return -1.0;
+      total_events += report->events;
+      total_drain_allocs += report->drain_allocs;
+      *last = *report;
+    }
+    return total_query_s > 0.0
+               ? static_cast<double>(total_events) / total_query_s
+               : 0.0;
+  };
   core::AsyncQueryReport last;
-  for (size_t repeat = 0; repeat < kMeasuredRepeats; ++repeat) {
-    util::Rng rng(999331);
-    auto query_start = std::chrono::steady_clock::now();
-    auto report = session.Execute(query, kSink, rng);
-    total_query_s += Seconds(query_start);
-    if (!report.ok()) return 1;
-    total_events += report->events;
-    total_drain_allocs += report->drain_allocs;
-    last = *report;
-  }
-  const double events_per_sec =
-      total_query_s > 0.0
-          ? static_cast<double>(total_events) / total_query_s
-          : 0.0;
+  const double events_per_sec = measure_repeats(&last);
+  if (events_per_sec < 0.0) return 1;
   const double steady_allocs_per_event =
       total_events > 0 ? static_cast<double>(total_drain_allocs) /
                              static_cast<double>(total_events)
@@ -224,12 +238,24 @@ int Run(int argc, char** argv) {
   }
   std::sort(epoch_us.begin(), epoch_us.end());
   const double churn_epoch_us = epoch_us[kChurnEpochs / 2];
-  RecordChurnEpochTelemetry(churn_epoch_us);
+
+  // The same warm repeats on the churned world: a few percent of the peers
+  // are down now, so most holders forward through the liveness filter and
+  // some tokens are lost and re-issued. One unmeasured query first absorbs
+  // what the new walks touch for the first time.
+  {
+    util::Rng warm_rng(999331);
+    if (!session.Execute(query, kSink, warm_rng).ok()) return 1;
+  }
+  core::AsyncQueryReport churned_last;
+  const double churned_events_per_sec = measure_repeats(&churned_last);
+  if (churned_events_per_sec < 0.0) return 1;
+  RecordChurnTelemetry(churn_epoch_us, churned_events_per_sec);
 
   util::AsciiTable out({"peers", "build_s", "build_rss_mb", "bytes_per_peer",
                         "events", "events_per_sec", "allocs_per_event",
                         "estimate", "p99_query_ms", "deadline_hits",
-                        "churn_epoch_us"});
+                        "churn_epoch_us", "churned_events_per_sec"});
   out.AddRow({util::AsciiTable::FormatInt(static_cast<int64_t>(num_peers)),
               util::AsciiTable::FormatDouble(build_s, 2),
               util::AsciiTable::FormatDouble(build_peak_rss_mb, 0),
@@ -240,7 +266,8 @@ int Run(int argc, char** argv) {
               util::AsciiTable::FormatDouble(last.answer.estimate, 0),
               util::AsciiTable::FormatDouble(p99_query_wall_ms, 0),
               util::AsciiTable::FormatPercent(deadline_hit_rate),
-              util::AsciiTable::FormatDouble(churn_epoch_us, 1)});
+              util::AsciiTable::FormatDouble(churn_epoch_us, 1),
+              util::AsciiTable::FormatDouble(churned_events_per_sec, 0)});
   EmitFigure("Scale series: super-peer world, full-domain COUNT",
              "super_fraction=0.02, core_edges=4, leaf_connections=2, "
              "CL=0.25, Z=0.2",

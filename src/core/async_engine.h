@@ -66,8 +66,8 @@ struct AsyncHotBuffers {
   // marks).
   query::LocalExecScratch exec;
   // Per-hop net::SimulatedNetwork::ForwardingSet scratch shared by all
-  // walkers (steps are serial on the event clock); filled only while a peer
-  // is down or an adversary plan is installed.
+  // walkers (steps are serial on the event clock); filled only while an
+  // adversary plan is installed.
   std::vector<graph::NodeId> neighbors;
   // Sink-side reply dedup of the current phase (core/reply_path.h), opened
   // per phase before the drain so arrivals never grow it.

@@ -134,8 +134,8 @@ class NeighborRange {
   // O(i + 1) decode from the block start; meant for single random probes,
   // not for nested loops — copy into a vector for those (see
   // graph/metrics.cc). Its hot caller is net::ForwardingView::operator[]:
-  // on an all-alive world every walker hop of both engines draws its next
-  // peer here, straight off the CSR bytes.
+  // at a holder with no dead neighbour every walker hop of both engines
+  // draws its next peer here, straight off the CSR bytes.
   NodeId operator[](size_t i) const {
     P2PAQP_DCHECK(i < degree_) << i;
     iterator it = begin();
@@ -185,8 +185,8 @@ class Graph {
   // Externally backed graph over an already-encoded CSR (the mmap loader).
   // `offsets` must have num_nodes+1 entries and `encoded` must hold
   // offsets[num_nodes] bytes; both must stay valid for as long as `backing`
-  // is alive. No validation beyond size checks — the io layer verifies the
-  // file digest/format before handing the region over.
+  // is alive. No validation beyond size checks — io::OpenMappedGraph
+  // validates the whole CSR before handing the region over.
   Graph(size_t num_nodes, size_t num_edges, uint32_t min_degree,
         uint32_t max_degree, const uint8_t* encoded, const uint32_t* offsets,
         std::shared_ptr<const void> backing);

@@ -55,6 +55,119 @@ class MappedFile {
   size_t size_;
 };
 
+// LEB128 decode that stays inside [p, end) and rejects values past 32
+// bits; advances `*p` past the value.
+bool DecodeBounded(const uint8_t** p, const uint8_t* end, uint32_t* out) {
+  uint64_t value = 0;
+  for (int shift = 0; shift < 35; shift += 7) {
+    if (*p == end) return false;
+    const uint8_t byte = *(*p)++;
+    value |= uint64_t{byte & 0x7Fu} << shift;
+    if (byte < 0x80) {
+      if (value > UINT32_MAX) return false;
+      *out = static_cast<uint32_t>(value);
+      return true;
+    }
+  }
+  return false;
+}
+
+// Checks a mapped CSR against everything graph::Graph and its readers
+// assume, before any read goes through it: monotone offsets, each list
+// filling exactly its byte range, neighbour ids below `num_nodes`, strictly
+// ascending lists without self-loops, the header's degree and edge
+// statistics, and symmetry (SimulatedNetwork::SetAlive writes to every
+// decoded neighbour, and its dead-neighbour counts are exact only on a
+// symmetric graph).
+util::Status ValidateCsr(size_t n, uint64_t num_edges, uint32_t min_degree,
+                         uint32_t max_degree, const uint32_t* offsets,
+                         const uint8_t* encoded) {
+  for (size_t u = 0; u < n; ++u) {
+    if (offsets[u] > offsets[u + 1]) {
+      return util::Status::InvalidArgument("offset table not monotone");
+    }
+  }
+  uint64_t arcs = 0;
+  uint32_t lowest = UINT32_MAX;
+  uint32_t highest = 0;
+  for (size_t u = 0; u < n; ++u) {
+    const uint8_t* p = encoded + offsets[u];
+    const uint8_t* end = encoded + offsets[u + 1];
+    uint32_t degree = 0;
+    if (!DecodeBounded(&p, end, &degree)) {
+      return util::Status::InvalidArgument("corrupt degree varint");
+    }
+    uint64_t v = 0;
+    for (uint32_t k = 0; k < degree; ++k) {
+      uint32_t delta = 0;
+      if (!DecodeBounded(&p, end, &delta)) {
+        return util::Status::InvalidArgument(
+            "neighbour varint corrupt or past its list's bytes");
+      }
+      // The first id is stored as is, each later one as its gap minus 1,
+      // so a list is ascending by construction; range and self-loops are
+      // what a corrupt byte can still break.
+      v = k == 0 ? delta : v + delta + 1;
+      if (v >= n) {
+        return util::Status::InvalidArgument("neighbour id out of range");
+      }
+      if (v == u) return util::Status::InvalidArgument("self-loop");
+    }
+    if (p != end) {
+      return util::Status::InvalidArgument(
+          "neighbour list leaves bytes unread");
+    }
+    arcs += degree;
+    lowest = std::min(lowest, degree);
+    highest = std::max(highest, degree);
+  }
+  if (arcs % 2 != 0 || arcs / 2 != num_edges || lowest != min_degree ||
+      highest != max_degree) {
+    return util::Status::InvalidArgument("header statistics disagree");
+  }
+  // Symmetry, in one more pass. Visiting u in ascending order meets the
+  // lower neighbours of every v in ascending order too, so one cursor per
+  // node walks v's list in step: each arc (u, v) with u < v must find u
+  // next under v's cursor, and by v's own turn its cursor must have passed
+  // every neighbour below v. `last` starts at -1 so the first (absolute)
+  // id decodes like a gap.
+  struct Cursor {
+    uint32_t offset;  // Byte offset of the next undecoded id.
+    uint32_t last;    // The id before it.
+  };
+  std::vector<Cursor> cursors(n);
+  for (size_t u = 0; u < n; ++u) {
+    uint32_t degree = 0;
+    const uint8_t* first = graph::varint::Decode(encoded + offsets[u], &degree);
+    cursors[u] = {static_cast<uint32_t>(first - encoded), UINT32_MAX};
+  }
+  // The id under v's cursor (n past the end of v's list), with the offset
+  // just past it in `*next`.
+  auto peek = [&](size_t v, uint32_t* next) -> uint64_t {
+    const Cursor& c = cursors[v];
+    if (c.offset == offsets[v + 1]) return n;
+    uint32_t delta = 0;
+    *next = static_cast<uint32_t>(
+        graph::varint::Decode(encoded + c.offset, &delta) - encoded);
+    return static_cast<uint32_t>(c.last + delta + 1);
+  };
+  const util::Status asymmetric =
+      util::Status::InvalidArgument("adjacency not symmetric");
+  for (size_t u = 0; u < n; ++u) {
+    uint32_t next = 0;
+    // A neighbour below u that no lower node matched did not list u.
+    if (peek(u, &next) < u) return asymmetric;
+    uint32_t degree = 0;
+    const uint8_t* first = graph::varint::Decode(encoded + offsets[u], &degree);
+    for (graph::NodeId v : graph::NeighborRange(first, degree)) {
+      if (v < u) continue;
+      if (peek(v, &next) != u) return asymmetric;
+      cursors[v] = {next, static_cast<uint32_t>(u)};
+    }
+  }
+  return util::Status::Ok();
+}
+
 }  // namespace
 
 util::Status SaveGraph(const std::string& path, const graph::Graph& graph) {
@@ -141,6 +254,10 @@ util::Result<graph::Graph> OpenMappedGraph(const std::string& path) {
     return util::Status::InvalidArgument("corrupt offset table seal");
   }
   const uint8_t* encoded = p + kHeaderBytes + offsets_bytes;
+  util::Status valid =
+      ValidateCsr(static_cast<size_t>(num_nodes), num_edges, min_degree,
+                  max_degree, offsets, encoded);
+  if (!valid.ok()) return valid;
   return graph::Graph(static_cast<size_t>(num_nodes),
                       static_cast<size_t>(num_edges), min_degree, max_degree,
                       encoded, offsets, std::move(mapping));

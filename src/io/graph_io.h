@@ -14,9 +14,10 @@
 //   encoded_bytes * u8               delta/varint adjacency stream
 //
 // The header is 40 bytes, so the offset table lands 4-byte aligned within
-// the (page-aligned) mapping. OpenMappedGraph validates sizes and the
-// offset-table seal before handing the region to graph::Graph; the Graph
-// (and every copy of it) keeps the mapping alive via shared ownership.
+// the (page-aligned) mapping. OpenMappedGraph validates sizes, the
+// offset-table seal and then the whole adjacency before handing the region
+// to graph::Graph; the Graph (and every copy of it) keeps the mapping alive
+// via shared ownership.
 #ifndef P2PAQP_IO_GRAPH_IO_H_
 #define P2PAQP_IO_GRAPH_IO_H_
 
@@ -32,7 +33,12 @@ util::Status SaveGraph(const std::string& path, const graph::Graph& graph);
 
 // Maps `path` read-only and returns a Graph whose adjacency reads straight
 // from the mapping (no copy). The returned Graph and all copies of it share
-// the mapping; it is unmapped when the last copy dies.
+// the mapping; it is unmapped when the last copy dies. A file is a trust
+// boundary, so every list is checked first, in two sequential passes over
+// the adjacency plus 8 bytes per node of scratch: InvalidArgument unless
+// the offsets are monotone, each list fills exactly its byte range with
+// in-range, strictly ascending ids and no self-loop, the header's edge
+// count and degree bounds agree, and the adjacency is symmetric.
 util::Result<graph::Graph> OpenMappedGraph(const std::string& path);
 
 // Touches one byte per 4 KiB page of the graph's offset table and encoded

@@ -35,6 +35,8 @@ FaultInjector::FaultInjector(FaultPlan plan, uint64_t seed, size_t num_peers)
                    [](const ScheduledCrash& a, const ScheduledCrash& b) {
                      return a.at_message < b.at_message;
                    });
+  // One message can bring every scheduled crash plus one drawn crash.
+  crashed_.reserve(plan_.scheduled_crashes.size() + 1);
   // The slow coalition is drafted once at construction from a salted
   // sub-stream, so membership depends only on (plan, seed, num_peers) — not
   // on message traffic — and Clone()d networks redraw deterministically.
@@ -125,6 +127,7 @@ FaultDecision FaultInjector::OnMessage(MessageType type, graph::NodeId from,
                                        graph::NodeId to,
                                        graph::NodeId crash_candidate) {
   FaultDecision decision;
+  crashed_.clear();
   const uint64_t index = messages_seen_++;
   FaultEvent base;
   base.message_index = index;
@@ -137,7 +140,7 @@ FaultDecision FaultInjector::OnMessage(MessageType type, graph::NodeId from,
          plan_.scheduled_crashes[next_scheduled_].at_message <= index) {
     const ScheduledCrash& crash = plan_.scheduled_crashes[next_scheduled_++];
     if (crash.peer == graph::kInvalidNode || IsImmune(crash.peer)) continue;
-    decision.crashed.push_back(crash.peer);
+    crashed_.push_back(crash.peer);
     FaultEvent event = base;
     event.kind = FaultKind::kScheduledCrash;
     event.crashed = crash.peer;
@@ -149,7 +152,7 @@ FaultDecision FaultInjector::OnMessage(MessageType type, graph::NodeId from,
   if (plan_.crash_probability > 0.0 &&
       crash_candidate != graph::kInvalidNode && !IsImmune(crash_candidate) &&
       rng_.Bernoulli(plan_.crash_probability)) {
-    decision.crashed.push_back(crash_candidate);
+    crashed_.push_back(crash_candidate);
     decision.deliver = false;
     FaultEvent event = base;
     event.kind = FaultKind::kCrash;
@@ -192,6 +195,7 @@ FaultDecision FaultInjector::OnMessage(MessageType type, graph::NodeId from,
       ++tail_messages_;
     }
   }
+  decision.crashed = crashed_;
   return decision;
 }
 

@@ -14,6 +14,7 @@
 #define P2PAQP_NET_FAULT_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -126,8 +127,10 @@ struct FaultDecision {
   double extra_latency_ms = 0.0;
   // Peers that departed while this message was in flight (scheduled crashes
   // due at this index, plus at most one probabilistic crash of the eligible
-  // endpoint).
-  std::vector<graph::NodeId> crashed;
+  // endpoint), in trace order. Points into the injector, which reserved
+  // room for every crash one message can bring at construction, so no
+  // decision allocates; valid until its next OnMessage.
+  std::span<const graph::NodeId> crashed;
 };
 
 class FaultInjector {
@@ -192,6 +195,8 @@ class FaultInjector {
   size_t slow_peers_ = 0;
   std::vector<uint8_t> slow_;
   std::vector<FaultEvent> trace_;
+  // The current decision's crashed peers (FaultDecision::crashed).
+  std::vector<graph::NodeId> crashed_;
 };
 
 }  // namespace p2paqp::net

@@ -129,6 +129,10 @@ void SimulatedNetwork::SetAlive(graph::NodeId id, bool alive) {
     p.departed_slot_ = static_cast<uint32_t>(departed_.size());
     departed_.push_back(id);
   }
+  for (graph::NodeId v : graph_.neighbors(id)) {
+    uint32_t& dead = peers_[v].dead_neighbors_;
+    dead = alive ? dead - 1 : dead + 1;
+  }
   if (history_ != nullptr) {
     history_->Record(
         alive ? HistoryEventKind::kPeerUp : HistoryEventKind::kPeerDown,
@@ -151,24 +155,19 @@ void SimulatedNetwork::AliveNeighborsInto(graph::NodeId id,
   }
 }
 
-uint32_t SimulatedNetwork::AliveDegree(graph::NodeId id) const {
-  if (departed_.empty()) return graph_.degree(id);
-  uint32_t deg = 0;
-  for (graph::NodeId v : graph_.neighbors(id)) {
-    if (peers_[v].alive()) ++deg;
-  }
-  return deg;
-}
-
 ForwardingView SimulatedNetwork::ForwardingSet(
     graph::NodeId holder, std::vector<graph::NodeId>* scratch) {
-  if (departed_.empty() && !adversary_.has_value()) {
-    return ForwardingView(graph_.neighbors(holder));
+  if (!adversary_.has_value()) {
+    const graph::NeighborRange csr = graph_.neighbors(holder);
+    const uint32_t dead =
+        departed_.empty() ? 0 : peers_[holder].dead_neighbors_;
+    return ForwardingView(csr, csr.size() - dead,
+                          dead == 0 ? nullptr : &peers_);
   }
   AliveNeighborsInto(holder, scratch);
   // An adversarial token holder may forward only to colluding neighbors
   // (walk hijack); the walker's uniform draw then picks among colluders.
-  if (adversary_.has_value()) adversary_->RestrictForwarding(holder, scratch);
+  adversary_->RestrictForwarding(holder, scratch);
   return ForwardingView(scratch);
 }
 

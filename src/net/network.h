@@ -44,12 +44,16 @@ struct NetworkParams {
 // The peers a walker token at one holder may be forwarded to, in ascending
 // id order: the holder's alive neighbours, narrowed to its colluders when a
 // hijacking adversary holds the token. Built by
-// SimulatedNetwork::ForwardingSet, in one of two forms:
-//   * the holder's CSR list as is, while no peer is down and no adversary
-//     plan is installed — no liveness probe at all, and `[k]` decodes only
-//     up to k (graph::NeighborRange);
-//   * otherwise a list materialised into the caller's scratch vector.
-// Valid until that scratch vector is next reused.
+// SimulatedNetwork::ForwardingSet, in one of three forms:
+//   * the holder's CSR list as is, while none of its neighbours is down and
+//     no adversary plan is installed — no liveness probe at all, and `[k]`
+//     decodes only up to k (graph::NeighborRange);
+//   * the same CSR list behind a liveness filter, while some neighbour is
+//     down and no adversary plan is installed: the size is the holder's
+//     alive degree (an O(1) read), `[k]` decodes only up to the k-th live
+//     neighbour, iteration skips the dead, and nothing is written;
+//   * otherwise (an adversary plan) a list materialised into the caller's
+//     scratch vector, valid until that vector is next reused.
 class ForwardingView {
  public:
   class iterator {
@@ -70,6 +74,7 @@ class ForwardingView {
         ++listed_;
       } else {
         ++csr_;
+        if (peers_ != nullptr) SkipDead();
       }
       return *this;
     }
@@ -84,38 +89,65 @@ class ForwardingView {
 
    private:
     friend class ForwardingView;
-    iterator(graph::NeighborRange::iterator csr, const graph::NodeId* listed)
-        : csr_(csr), listed_(listed) {}
+    iterator(graph::NeighborRange::iterator csr, const graph::NodeId* listed,
+             const PeerStore* peers)
+        : csr_(csr), listed_(listed), peers_(peers) {
+      if (peers_ != nullptr) SkipDead();
+    }
+    // Advances the CSR cursor to the next live neighbour, or to the end.
+    void SkipDead() {
+      while (csr_ != graph::NeighborRange::iterator() &&
+             !(*peers_)[*csr_].alive()) {
+        ++csr_;
+      }
+    }
 
     graph::NeighborRange::iterator csr_;
     const graph::NodeId* listed_ = nullptr;
+    const PeerStore* peers_ = nullptr;  // Set in the filtered form only.
   };
 
-  size_t size() const {
-    return listed_ != nullptr ? listed_->size() : csr_.size();
-  }
-  bool empty() const { return size() == 0; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
   graph::NodeId operator[](size_t k) const {
-    return listed_ != nullptr ? (*listed_)[k] : csr_[k];
+    P2PAQP_DCHECK(k < size_) << k;
+    if (listed_ != nullptr) return (*listed_)[k];
+    return peers_ == nullptr ? csr_[k] : LiveAt(k);
   }
 
   iterator begin() const {
-    return listed_ != nullptr ? iterator({}, listed_->data())
-                              : iterator(csr_.begin(), nullptr);
+    return listed_ != nullptr ? iterator({}, listed_->data(), nullptr)
+                              : iterator(csr_.begin(), nullptr, peers_);
   }
   iterator end() const {
-    return listed_ != nullptr ? iterator({}, listed_->data() + listed_->size())
-                              : iterator(csr_.end(), nullptr);
+    return listed_ != nullptr
+               ? iterator({}, listed_->data() + listed_->size(), nullptr)
+               : iterator(csr_.end(), nullptr, nullptr);
   }
 
  private:
   friend class SimulatedNetwork;
-  explicit ForwardingView(graph::NeighborRange csr) : csr_(csr) {}
+  // CSR form; `peers` non-null filters out the neighbours that are down,
+  // of which `size` counts the rest.
+  ForwardingView(graph::NeighborRange csr, size_t size,
+                 const PeerStore* peers)
+      : csr_(csr), size_(size), peers_(peers) {}
   explicit ForwardingView(const std::vector<graph::NodeId>* listed)
-      : listed_(listed) {}
+      : size_(listed->size()), listed_(listed) {}
+
+  // The k-th live neighbour: one decode pass that stops there.
+  graph::NodeId LiveAt(size_t k) const {
+    for (graph::NodeId v : csr_) {
+      if ((*peers_)[v].alive() && k-- == 0) return v;
+    }
+    P2PAQP_CHECK(false) << "forwarding view outran its live neighbours";
+    return graph::kInvalidNode;
+  }
 
   graph::NeighborRange csr_;
+  size_t size_ = 0;
+  const PeerStore* peers_ = nullptr;
   const std::vector<graph::NodeId>* listed_ = nullptr;
 };
 
@@ -174,10 +206,13 @@ class SimulatedNetwork {
   bool IsAlive(graph::NodeId id) const { return peers_[id].alive(); }
   // Marks a peer as departed/re-joined (Gnutella-style churn: connections of
   // a dead peer are simply unusable until it returns). Updates departed()
-  // and num_alive() in O(1). The only way liveness changes: ForwardingSet
-  // and AliveDegree trust an empty departed() to mean "no peer is down".
-  // The first departure reserves the departed list for every peer, so no
-  // later one allocates; a world where every peer stays up never pays it.
+  // and num_alive() in O(1), and each neighbour's dead-neighbour count in
+  // O(degree). The only way liveness changes: ForwardingSet and AliveDegree
+  // trust an empty departed() to mean "no peer is down" and the counts to
+  // be exact (they are, because the graph is symmetric, simple and
+  // immutable). The first departure reserves the departed list for every
+  // peer, so no later one allocates; a world where every peer stays up
+  // never pays it.
   void SetAlive(graph::NodeId id, bool alive);
 
   // Neighbors of `id` that are currently alive.
@@ -190,14 +225,18 @@ class SimulatedNetwork {
                           std::vector<graph::NodeId>* out) const;
 
   // Degree counting only alive neighbors — what a live walker observes.
-  // O(1) (the CSR degree header) while no peer is down.
-  uint32_t AliveDegree(graph::NodeId id) const;
+  // O(1): the CSR degree header, less the peer's dead-neighbour count once
+  // any peer is down.
+  uint32_t AliveDegree(graph::NodeId id) const {
+    const uint32_t degree = graph_.degree(id);
+    return departed_.empty() ? degree : degree - peers_[id].dead_neighbors_;
+  }
 
   // Where a walker token at `holder` may go next (see ForwardingView): the
-  // CSR list while no peer is down and no adversary plan is installed,
-  // otherwise AliveNeighborsInto(`scratch`) narrowed by
-  // AdversaryInjector::RestrictForwarding. Both walkers draw their next hop
-  // as one UniformIndex(size()) over this view.
+  // CSR list, behind a liveness filter while any of its neighbours is down,
+  // when no adversary plan is installed; otherwise AliveNeighborsInto
+  // (`scratch`) narrowed by AdversaryInjector::RestrictForwarding. Both
+  // walkers draw their next hop as one UniformIndex(size()) over this view.
   ForwardingView ForwardingSet(graph::NodeId holder,
                                std::vector<graph::NodeId>* scratch);
 

@@ -50,6 +50,8 @@ class Peer {
     if (alive && !alive_) ++incarnation_;
     alive_ = alive;
   }
+  // How many of this peer's overlay neighbours are down right now.
+  uint32_t dead_neighbors() const { return dead_neighbors_; }
   // Number of times this peer has (re)joined; starts at 0 for the first
   // life. Bumped on every dead -> alive transition.
   uint64_t incarnation() const { return incarnation_; }
@@ -72,9 +74,17 @@ class Peer {
   uint32_t departed_slot_ = 0;
   PeerCapabilities capabilities_;
   bool alive_ = true;
+  // How many of this peer's overlay neighbours are down, kept exact by
+  // SimulatedNetwork::SetAlive on every liveness transition. Sits in the
+  // padding after alive_, so it costs no bytes per peer either.
+  uint32_t dead_neighbors_ = 0;
   uint64_t incarnation_ = 0;
   data::LocalDatabase database_;
 };
+
+// The departed slot and the dead-neighbour count live in padding: the
+// per-peer footprint (docs/PERFORMANCE.md, bytes_per_peer) must not grow.
+static_assert(sizeof(Peer) == 80, "Peer grew past its padded layout");
 
 }  // namespace p2paqp::net
 

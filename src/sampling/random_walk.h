@@ -147,9 +147,9 @@ class RandomWalk {
   net::SimulatedNetwork* network_;
   WalkParams params_;
   // Scratch for ForwardingSet, reused across every Step of every
-  // collection: filled only while a peer is down or an adversary plan is
-  // installed, and its capacity plateaus at the walk's maximum live degree,
-  // so the synchronous hop loop stops allocating once warm.
+  // collection: filled only while an adversary plan is installed, and its
+  // capacity plateaus at the walk's maximum live degree, so the synchronous
+  // hop loop stops allocating once warm.
   std::vector<graph::NodeId> neighbor_scratch_;
 };
 

@@ -8,7 +8,13 @@
 //     byte-identical to the in-memory counting-sort path, including through
 //     multi-pass merges (fan-in smaller than the run count);
 //   * PrefaultGraph returns a deterministic checksum (so the page touches
-//     cannot be optimized away) on owned and mapped graphs alike.
+//     cannot be optimized away) on owned and mapped graphs alike;
+//   * OpenMappedGraph refuses a hand-corrupted adjacency with a Status —
+//     non-monotone offsets, an out-of-range or self-looping neighbour, a
+//     list that does not fill exactly its bytes, disagreeing header
+//     statistics, and an asymmetric adjacency — before any read goes
+//     through it.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -154,6 +160,132 @@ TEST(GraphIo, PrefaultChecksumIsDeterministicOwnedAndMapped) {
   // Same bytes, same pages, same checksum.
   EXPECT_EQ(io::PrefaultGraph(*mapped), owned_sum);
   std::remove(path.c_str());
+}
+
+// A "P2PG" file written from raw varint words, validating nothing. Per
+// node: the degree, the first neighbour id as is, then each later id as
+// its gap minus 1 — the CSR encoder's layout. The header's statistics come
+// from the degrees; `offsets`, when given, replaces the packed table.
+std::string WriteRawGraph(const char* name,
+                          const std::vector<std::vector<uint32_t>>& words,
+                          std::vector<uint32_t> offsets = {}) {
+  std::vector<uint8_t> encoded;
+  std::vector<uint32_t> packed{0};
+  uint64_t arcs = 0;
+  uint32_t min_degree = UINT32_MAX;
+  uint32_t max_degree = 0;
+  for (const auto& list : words) {
+    for (uint32_t word : list) graph::varint::Encode(word, &encoded);
+    packed.push_back(static_cast<uint32_t>(encoded.size()));
+    arcs += list[0];
+    min_degree = std::min(min_degree, list[0]);
+    max_degree = std::max(max_degree, list[0]);
+  }
+  if (offsets.empty()) offsets = packed;
+  const std::string path = TempPath(name);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  const uint32_t version = 1;
+  const uint64_t num_nodes = words.size();
+  const uint64_t num_edges = arcs / 2;
+  const uint64_t encoded_bytes = encoded.size();
+  std::fwrite("P2PG", 1, 4, f);
+  std::fwrite(&version, sizeof(version), 1, f);
+  std::fwrite(&num_nodes, sizeof(num_nodes), 1, f);
+  std::fwrite(&num_edges, sizeof(num_edges), 1, f);
+  std::fwrite(&min_degree, sizeof(min_degree), 1, f);
+  std::fwrite(&max_degree, sizeof(max_degree), 1, f);
+  std::fwrite(&encoded_bytes, sizeof(encoded_bytes), 1, f);
+  std::fwrite(offsets.data(), sizeof(uint32_t), offsets.size(), f);
+  std::fwrite(encoded.data(), 1, encoded.size(), f);
+  std::fclose(f);
+  return path;
+}
+
+// The 4-cycle 0-1-2-3-0.
+const std::vector<std::vector<uint32_t>> kSquare = {
+    {2, 1, 1}, {2, 0, 1}, {2, 1, 1}, {2, 0, 1}};
+
+// Opens a raw file, expects a refusal naming `reason`, removes the file.
+void ExpectRejected(const std::string& path, const std::string& reason) {
+  auto mapped = io::OpenMappedGraph(path);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(mapped.status().message().find(reason), std::string::npos)
+      << mapped.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(GraphIoValidation, RawWriterProducesALoadableGraph) {
+  const std::string path = WriteRawGraph("raw_square.p2pg", kSquare);
+  auto mapped = io::OpenMappedGraph(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(mapped->num_edges(), 4u);
+  EXPECT_TRUE(mapped->HasEdge(3, 0));
+  std::remove(path.c_str());
+}
+
+TEST(GraphIoValidation, RejectsNonMonotoneOffsets) {
+  // Packed offsets are 0, 3, 6, 9, 12: node 1's list would end past node
+  // 2's start.
+  ExpectRejected(WriteRawGraph("non_monotone.p2pg", kSquare,
+                               {0, 3, 10, 9, 12}),
+                 "not monotone");
+}
+
+TEST(GraphIoValidation, RejectsOutOfRangeNeighbour) {
+  auto lists = kSquare;
+  lists[0] = {2, 1, 5};  // Second neighbour of 0 is 1 + 5 + 1 = 7 >= 4.
+  ExpectRejected(WriteRawGraph("out_of_range.p2pg", lists), "out of range");
+}
+
+TEST(GraphIoValidation, RejectsAListThatWrapsBelowItself) {
+  // A gap of 2^32 - 1 after id 1 would wrap a 32-bit sum back to 1: the
+  // list would stop ascending, so it must be refused, not decoded.
+  auto lists = kSquare;
+  lists[0] = {2, 1, UINT32_MAX};
+  ExpectRejected(WriteRawGraph("wrapping.p2pg", lists), "out of range");
+}
+
+TEST(GraphIoValidation, RejectsSelfLoop) {
+  auto lists = kSquare;
+  lists[1] = {2, 0, 0};  // Node 1 lists 0 and 0 + 0 + 1 = 1, itself.
+  ExpectRejected(WriteRawGraph("self_loop.p2pg", lists), "self-loop");
+}
+
+TEST(GraphIoValidation, RejectsAListOverrunningItsBytes) {
+  auto lists = kSquare;
+  lists[2] = {3, 1, 1};  // Claims three neighbours, stores two.
+  lists[3] = {1, 0};     // Keeps the arc count even.
+  ExpectRejected(WriteRawGraph("overrun.p2pg", lists), "past its list");
+}
+
+TEST(GraphIoValidation, RejectsAListWithBytesLeftOver) {
+  auto lists = kSquare;
+  lists[2] = {1, 1, 1};  // Claims one neighbour, stores two.
+  lists[3] = {1, 0, 1};
+  ExpectRejected(WriteRawGraph("leftover.p2pg", lists), "bytes unread");
+}
+
+TEST(GraphIoValidation, RejectsDisagreeingHeaderStatistics) {
+  // Node 3 drops its arc to 2: ids stay valid, the arc count turns odd.
+  auto lists = kSquare;
+  lists[3] = {1, 0};
+  ExpectRejected(WriteRawGraph("header_stats.p2pg", lists),
+                 "header statistics");
+}
+
+TEST(GraphIoValidation, RejectsAsymmetricAdjacency) {
+  // The directed cycle 0 -> 1 -> 2 -> 3 -> 0: four arcs, every degree 1,
+  // no self-loop, header consistent — but no arc has its reverse.
+  ExpectRejected(WriteRawGraph("asymmetric.p2pg",
+                               {{1, 1}, {1, 2}, {1, 3}, {1, 0}}),
+                 "not symmetric");
+  // A subtler one: symmetric but for one pair of arcs, 0-2 listed by 0 and
+  // 1-3 listed by 3 only, so every degree and the arc count still agree.
+  ExpectRejected(WriteRawGraph("asymmetric_pair.p2pg",
+                               {{2, 1, 0}, {1, 0}, {1, 3}, {2, 1, 0}}),
+                 "not symmetric");
 }
 
 // The spilling builder must be byte-identical to the in-memory path. This

@@ -195,7 +195,7 @@ TEST(FaultInjectorTest, SameSeedReplaysIdenticalTrace) {
     FaultDecision db = b.OnMessage(MessageType::kWalker, from, to, to);
     EXPECT_EQ(da.deliver, db.deliver);
     EXPECT_DOUBLE_EQ(da.extra_latency_ms, db.extra_latency_ms);
-    EXPECT_EQ(da.crashed, db.crashed);
+    EXPECT_TRUE(std::ranges::equal(da.crashed, db.crashed));
   }
   ASSERT_EQ(a.trace().size(), b.trace().size());
   EXPECT_GT(a.trace().size(), 0u);

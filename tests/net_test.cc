@@ -6,12 +6,15 @@
 #include <string>
 #include <vector>
 
+#include "core/async_engine.h"
+#include "core/catalog.h"
 #include "graph/builder.h"
 #include "io/world_io.h"
 #include "net/churn.h"
 #include "net/history.h"
 #include "net/network.h"
 #include "net/protocol.h"
+#include "sampling/random_walk.h"
 #include "topology/factory.h"
 #include "verify/protocol/history_checker.h"
 
@@ -526,11 +529,13 @@ TEST(ChurnTest, ZeroProbabilitiesDrawNothing) {
 
 // --- Forwarding view -----------------------------------------------------
 // Both walkers draw their next hop from SimulatedNetwork::ForwardingSet,
-// which skips every liveness probe while num_alive() == num_peers(). These
-// tests pin it to the materialised set it replaced (AliveNeighborsInto,
-// then the adversary's RestrictForwarding) on worlds with hub-sized
-// degrees, and pin num_alive() — the shortcut's only input — to a
-// brute-force count across every path that changes liveness.
+// which reads the holder's CSR list in place whenever no adversary is
+// installed, filtering out dead neighbours through the per-peer
+// dead-neighbour counts that SetAlive keeps. These tests pin it to the
+// materialised set it replaced (AliveNeighborsInto, then the adversary's
+// RestrictForwarding) on worlds with hub-sized degrees, and pin its inputs
+// — num_alive(), departed() and every dead-neighbour count — to brute-force
+// scans across every path that changes liveness.
 
 SimulatedNetwork MakeWorld(topology::TopologyKind kind, uint64_t seed) {
   topology::TopologyConfig config;
@@ -554,16 +559,28 @@ size_t CountAlive(const SimulatedNetwork& network) {
   return alive;
 }
 
+// Every peer's dead-neighbour count against a scan of its neighbours.
+void ExpectDeadCountsMatch(const SimulatedNetwork& network) {
+  for (graph::NodeId h = 0; h < network.num_peers(); ++h) {
+    uint32_t dead = 0;
+    for (graph::NodeId v : network.graph().neighbors(h)) {
+      if (!network.IsAlive(v)) ++dead;
+    }
+    ASSERT_EQ(network.peer(h).dead_neighbors(), dead) << "peer " << h;
+  }
+}
+
 // Every holder's view against the materialised forwarding set, element by
 // element, by index and by iteration; and AliveDegree against the alive
-// neighbour count. While no peer is down and no adversary is installed the
-// view must be the CSR list, leaving the caller's scratch untouched.
+// neighbour count. Without an adversary the view must read the CSR list
+// in place, leaving the caller's scratch untouched, whether or not any
+// peer is down.
 void ExpectViewMatches(SimulatedNetwork& network, const std::string& state) {
   SCOPED_TRACE(state);
   ASSERT_EQ(network.num_alive(), CountAlive(network));
   ASSERT_EQ(SortedDeparted(network), ScanDeparted(network));
-  const bool csr_path = network.num_alive() == network.num_peers() &&
-                        network.adversary() == nullptr;
+  ExpectDeadCountsMatch(network);
+  const bool csr_path = network.adversary() == nullptr;
   std::vector<graph::NodeId> scratch;
   std::vector<graph::NodeId> expected;
   for (graph::NodeId h = 0; h < network.num_peers(); ++h) {
@@ -582,7 +599,7 @@ void ExpectViewMatches(SimulatedNetwork& network, const std::string& state) {
         << "holder " << h;
     if (csr_path) {
       EXPECT_EQ(scratch, std::vector<graph::NodeId>{graph::kInvalidNode})
-          << "holder " << h << ": all-alive view touched the scratch";
+          << "holder " << h << ": an adversary-free view touched the scratch";
     }
     EXPECT_EQ(network.AliveDegree(h), network.AliveNeighbors(h).size())
         << "holder " << h;
@@ -636,6 +653,7 @@ TEST_P(ForwardingViewTest, NumAliveMatchesBruteForceCount) {
     ASSERT_EQ(network.num_alive(), CountAlive(network)) << "epoch " << epoch;
     ASSERT_EQ(SortedDeparted(network), ScanDeparted(network))
         << "epoch " << epoch;
+    ExpectDeadCountsMatch(network);
   }
 
   FaultPlan faults;
@@ -656,6 +674,7 @@ TEST_P(ForwardingViewTest, NumAliveMatchesBruteForceCount) {
     network.SendDirect(MessageType::kAggregateReply, to, from).ok();
     crashes_seen += before - network.num_alive();
     ASSERT_EQ(network.num_alive(), CountAlive(network)) << "send " << send;
+    if (before != network.num_alive()) ExpectDeadCountsMatch(network);
   }
   EXPECT_GT(crashes_seen, 0u);
   ExpectViewMatches(network, "after crash-fault sends");
@@ -683,6 +702,66 @@ TEST_P(ForwardingViewTest, NumAliveMatchesBruteForceCount) {
   EXPECT_EQ(loaded->num_alive(), CountAlive(*loaded));
   EXPECT_EQ(loaded->num_alive(), network.num_alive());
   ExpectViewMatches(*loaded, "loaded world with dead peers");
+}
+
+// A holder whose neighbours are all down gets an empty view (its scratch
+// untouched), and both walkers then treat a token there as lost instead of
+// sending it anywhere. Edges 0-1, 0-2, 2-3, 3-4 with 1, 2 and 4 down
+// strand both the sink 0 and the holder 3.
+TEST(StrandedHolderTest, EmptyViewLosesTheTokenInBothEngines) {
+  graph::GraphBuilder builder(5);
+  builder.AddEdge(0, 1);
+  builder.AddEdge(0, 2);
+  builder.AddEdge(2, 3);
+  builder.AddEdge(3, 4);
+  std::vector<data::LocalDatabase> databases(5);
+  auto made = SimulatedNetwork::Make(builder.Build(), std::move(databases),
+                                     NetworkParams{}, 8);
+  ASSERT_TRUE(made.ok());
+  SimulatedNetwork& network = *made;
+  for (graph::NodeId v : {1u, 2u, 4u}) network.SetAlive(v, false);
+  ExpectViewMatches(network, "stranded holders");
+  for (graph::NodeId holder : {0u, 3u}) {
+    std::vector<graph::NodeId> scratch(1, graph::kInvalidNode);
+    EXPECT_TRUE(network.ForwardingSet(holder, &scratch).empty());
+    EXPECT_EQ(network.AliveDegree(holder), 0u);
+    EXPECT_EQ(network.peer(holder).dead_neighbors(),
+              network.graph().degree(holder));
+  }
+
+  // Synchronous walker: a token at either stranded holder is lost at its
+  // first hop and, the sink being stranded too, cannot be re-issued; the
+  // collection gives up with no message sent.
+  sampling::RandomWalk walk(&network, sampling::WalkParams{.jump = 1});
+  util::Rng rng(3);
+  for (graph::NodeId holder : {0u, 3u}) {
+    auto collected = walk.CollectResilient(holder, 4, rng);
+    ASSERT_TRUE(collected.ok()) << collected.status().ToString();
+    EXPECT_TRUE(collected->truncated);
+    EXPECT_EQ(collected->truncation.code(), util::StatusCode::kUnavailable);
+    EXPECT_TRUE(collected->visits.empty());
+  }
+  EXPECT_EQ(network.cost_snapshot().messages, 0u);
+
+  // Event-driven walker: every token at the stranded sink is lost at its
+  // first step and cannot be re-issued, so no walker message goes out and
+  // no peer is observed.
+  core::SystemCatalog catalog =
+      core::MakeCatalog(network.graph(), /*jump=*/1, /*burn_in=*/0);
+  core::AsyncParams params;
+  params.walkers = 2;
+  params.walk.jump = 1;
+  params.walk.burn_in = 0;
+  params.engine.phase1_peers = 4;
+  core::AsyncQuerySession session(&network, catalog, params);
+  query::AggregateQuery query;
+  query.op = query::AggregateOp::kCount;
+  query.predicate = query::RangePredicate{1, 40};
+  auto report = session.Execute(query, 0, rng);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), util::StatusCode::kUnavailable);
+  EXPECT_EQ(network.cost_snapshot().walker_hops, 0u);
+  EXPECT_EQ(network.cost_snapshot().messages, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Worlds, ForwardingViewTest,

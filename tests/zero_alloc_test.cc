@@ -114,56 +114,67 @@ TEST(ZeroAllocTest, WarmQueryDrainsWithoutAllocating) {
 }
 
 // Loss and churn are the drain's routine, not its exception: a lost
-// message returns a status that must not allocate, and a mid-query churn
-// epoch must reuse its scratch and the network's departed list. Once a few
-// queries have warmed the session under 10% drops and churn, further
-// queries drain with zero allocations although every one of them loses
-// messages and steps epochs.
+// message returns a status that must not allocate, a mid-query churn epoch
+// must reuse its scratch and the network's departed list, and an injected
+// crash must reach SetAlive without a per-decision buffer. Once a few
+// queries have warmed the session under 10% drops and churn (and, in the
+// second case, 1% crashes), further queries drain with zero allocations
+// although every one of them loses messages and steps epochs.
 TEST(ZeroAllocTest, WarmQueryUnderLossAndChurnDrainsWithoutAllocating) {
-  net::SimulatedNetwork network = MakeJitterFreeNetwork();
-  net::FaultPlan faults;
-  faults.drop_probability = 0.1;
-  network.InstallFaultPlan(faults, 4244);
-  net::ChurnParams churn_params;
-  churn_params.leave_probability = 0.01;
-  churn_params.rejoin_probability = 0.2;
-  churn_params.pinned = {0};
-  net::ChurnModel churn(churn_params, 4245);
-  core::SystemCatalog catalog =
-      core::MakeCatalog(network.graph(), /*jump=*/4, /*burn_in=*/16);
-  core::AsyncParams params;
-  params.engine.phase1_peers = 40;
-  params.engine.tuples_per_peer = 10;
-  params.engine.reply_retransmits = 2;
-  params.walkers = 4;
-  params.walk.jump = 4;
-  params.walk.burn_in = 16;
-  params.churn = &churn;
-  params.churn_interval_ms = 100.0;
-  core::AsyncQuerySession session(&network, catalog, params);
+  for (const double crash_probability : {0.0, 0.01}) {
+    SCOPED_TRACE(testing::Message() << "crash_probability "
+                                    << crash_probability);
+    net::SimulatedNetwork network = MakeJitterFreeNetwork();
+    net::FaultPlan faults;
+    faults.drop_probability = 0.1;
+    faults.crash_probability = crash_probability;
+    faults.crash_immune = {0};
+    network.InstallFaultPlan(faults, 4244);
+    net::ChurnParams churn_params;
+    churn_params.leave_probability = 0.01;
+    churn_params.rejoin_probability = 0.2;
+    churn_params.pinned = {0};
+    net::ChurnModel churn(churn_params, 4245);
+    core::SystemCatalog catalog =
+        core::MakeCatalog(network.graph(), /*jump=*/4, /*burn_in=*/16);
+    core::AsyncParams params;
+    params.engine.phase1_peers = 40;
+    params.engine.tuples_per_peer = 10;
+    params.engine.reply_retransmits = 2;
+    params.walkers = 4;
+    params.walk.jump = 4;
+    params.walk.burn_in = 16;
+    params.churn = &churn;
+    params.churn_interval_ms = 100.0;
+    core::AsyncQuerySession session(&network, catalog, params);
 
-  query::AggregateQuery query;
-  query.op = query::AggregateOp::kCount;
-  query.predicate = query::RangePredicate{1, 40};
-  query.required_error = 0.3;
+    query::AggregateQuery query;
+    query.op = query::AggregateOp::kCount;
+    query.predicate = query::RangePredicate{1, 40};
+    query.required_error = 0.3;
 
-  util::Rng rng(101);
-  for (int warm = 0; warm < 4; ++warm) {
-    auto report = session.Execute(query, 0, rng);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    util::Rng rng(101);
+    for (int warm = 0; warm < 4; ++warm) {
+      auto report = session.Execute(query, 0, rng);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+    }
+    const uint64_t dropped_before = network.cost_snapshot().messages_dropped;
+    const uint64_t epochs_before = churn.counters().epochs;
+    const uint64_t crashes_before = network.fault_injector()->crashes();
+    for (int measured = 0; measured < 4; ++measured) {
+      auto report = session.Execute(query, 0, rng);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_EQ(report->drain_allocs, 0u)
+          << "query " << measured << " allocated while draining under loss "
+          << "and churn";
+    }
+    EXPECT_GT(network.cost_snapshot().messages_dropped, dropped_before);
+    EXPECT_GT(churn.counters().epochs, epochs_before);
+    EXPECT_GT(churn.counters().departures, 0u);
+    if (crash_probability > 0.0) {
+      EXPECT_GT(network.fault_injector()->crashes(), crashes_before);
+    }
   }
-  const uint64_t dropped_before = network.cost_snapshot().messages_dropped;
-  const uint64_t epochs_before = churn.counters().epochs;
-  for (int measured = 0; measured < 4; ++measured) {
-    auto report = session.Execute(query, 0, rng);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(report->drain_allocs, 0u)
-        << "query " << measured << " allocated while draining under loss "
-        << "and churn";
-  }
-  EXPECT_GT(network.cost_snapshot().messages_dropped, dropped_before);
-  EXPECT_GT(churn.counters().epochs, epochs_before);
-  EXPECT_GT(churn.counters().departures, 0u);
 }
 
 TEST(ZeroAllocTest, ColdReservesKeepDrainCleanToo) {

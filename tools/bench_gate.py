@@ -16,7 +16,13 @@ benchmark regressed. Every gated field is one row of RULES below:
   deadline_hit_rate              <= base + 0.02              baseline > 0
   events_per_sec                 >= base * 0.75              baseline > 0,
                                                              same threads
+  churned_events_per_sec         >= base * 0.75              baseline > 0,
+                                                             same threads
+  churned_drain_ratio            >= base * 0.75              baseline > 0,
+                                                             same threads
   churn_epoch_us                 <= base * 2.0 + 50 us       baseline > 0,
+                                                             same threads
+  cpu_time_s                     <= base * 1.6               baseline > 0,
                                                              same threads
   wall_time_s                    <= base * 1.25 + 0.5 s      same threads
 
@@ -26,7 +32,16 @@ any P2PAQP_THREADS), so they are compared regardless of thread count; the
 drain rate, the churn epoch and wall time are wall-clock quantities,
 compared only when `threads` matches the baseline's. The churn epoch's
 wide band still fails a return to a per-peer epoch scan, which costs
-several times the bound at every scale tier. The 10M series (bench/baselines/scale/10m,
+several times the bound at every scale tier; the churned drain's floors
+fail a return to materialising each holder's live neighbours. Its rate
+alone lets a fast-running process of the old code through on a host
+whose speed swings, and its ratio to the same process's all-alive drain
+rate cancels that swing but not a swing within one run; together they
+caught every run of the old code measured. The
+wall-time bound's 0.5 s floor keeps sub-second binaries from flapping, but
+it also lets them slow down many times over; their process CPU time
+(`cpu_time_s`, which a busy host inflates far less than wall time) has no
+floor, so doubling such a binary's work trips it. The 10M series (bench/baselines/scale/10m,
 run at P2PAQP_SCALE=10 with P2PAQP_BUILD_SPILL_EDGES set) exists mostly for
 the RSS bound: it proves a ten-million-peer world builds inside the spilling
 builder's memory budget.
@@ -93,8 +108,16 @@ RULES = (
      False),
     # Wall-clock quantities.
     ("events_per_sec", "higher", "events_tolerance", 0.0, "nonzero", True),
+    # The same drain with peers down (walker hops through the liveness
+    # filter), as a rate and as a share of the all-alive rate.
+    ("churned_events_per_sec", "higher", "events_tolerance", 0.0, "nonzero",
+     True),
+    ("churned_drain_ratio", "higher", "events_tolerance", 0.0, "nonzero",
+     True),
     # A revert to a per-peer epoch scan costs several times this band.
     ("churn_epoch_us", "lower", 1.0, 50.0, "nonzero", True),
+    # Whole-binary CPU time, no absolute floor: a 2x slowdown trips it.
+    ("cpu_time_s", "lower", 0.6, 0.0, "nonzero", True),
     ("wall_time_s", "lower", "wall_tolerance", "wall_floor", "always", True),
 )
 

@@ -46,7 +46,10 @@ BASE = {
     "p99_query_wall_ms": 1000.0,
     "deadline_hit_rate": 0.1,
     "events_per_sec": 1000000.0,
+    "churned_events_per_sec": 500000.0,
+    "churned_drain_ratio": 0.5,
     "churn_epoch_us": 100.0,
+    "cpu_time_s": 2.0,
 }
 
 # Per field: a value that must trip the rule on BASE, and a regression the
@@ -60,7 +63,10 @@ TRIP = {
     "p99_query_wall_ms": 1101.0,
     "deadline_hit_rate": 0.121,
     "events_per_sec": 749000.0,
+    "churned_events_per_sec": 374000.0,
+    "churned_drain_ratio": 0.374,
     "churn_epoch_us": 251.0,
+    "cpu_time_s": 3.21,
     "wall_time_s": 13.1,
 }
 TOLERATED = {
@@ -72,7 +78,10 @@ TOLERATED = {
     "p99_query_wall_ms": 1099.0,
     "deadline_hit_rate": 0.119,
     "events_per_sec": 751000.0,
+    "churned_events_per_sec": 376000.0,
+    "churned_drain_ratio": 0.376,
     "churn_epoch_us": 249.0,
+    "cpu_time_s": 3.19,
     "wall_time_s": 12.9,
 }
 
@@ -89,11 +98,16 @@ SWITCH_OFF = {
     "p99_query_wall_ms": 0.0,
     "deadline_hit_rate": 0.0,
     "events_per_sec": 0.0,
+    "churned_events_per_sec": 0.0,
+    "churned_drain_ratio": 0.0,
     "churn_epoch_us": 0.0,
+    "cpu_time_s": 0.0,
     "wall_time_s": ALWAYS,
 }
-# Wall-clock rules, compared only when the thread counts match.
-WALL_CLOCK = {"events_per_sec", "churn_epoch_us", "wall_time_s"}
+# Floors (a 0 is the far losing side), and the wall-clock rules, compared
+# only when the thread counts match.
+FLOORS = {"events_per_sec", "churned_events_per_sec", "churned_drain_ratio"}
+WALL_CLOCK = FLOORS | {"churn_epoch_us", "cpu_time_s", "wall_time_s"}
 
 
 class BenchGateSelfTest(unittest.TestCase):
@@ -159,7 +173,7 @@ class BenchGateSelfTest(unittest.TestCase):
                     continue
                 # Far past the bound in the losing direction (a 0 for a
                 # floor, which a 0 baseline could not trip anyway).
-                worse = 0.0 if field == "events_per_sec" else 1e9
+                worse = 0.0 if field in FLOORS else 1e9
                 code, out = self.gate_pair({field: worse},
                                            base_changes={field: off})
                 self.assertEqual(code, 0, out)
