@@ -12,18 +12,6 @@ namespace p2paqp::core {
 
 namespace {
 
-// Winsorized EWMA step feeding the adaptive budgets: a single straggler
-// observation must not drag the budget up to straggler scale, so a sample
-// is clamped to 8x the running mean before folding in. The first sample
-// seeds the mean.
-void FoldWinsorized(double* mean, size_t* samples, double x) {
-  const double clamped = *samples > 0 && x > 8.0 * *mean ? 8.0 * *mean : x;
-  *mean = *samples == 0 ? clamped
-                        : (1.0 - net::kHealthEwmaAlpha) * *mean +
-                              net::kHealthEwmaAlpha * clamped;
-  ++*samples;
-}
-
 // One in-flight phase. Stack-local to RunPhase: every queued event resolves
 // before RunPhase returns (the queue drains inside it), so events reference
 // the runtime and the session buffers by raw pointer/handle — no shared_ptr
@@ -55,10 +43,9 @@ class PhaseRuntime final : public net::StepHandler {
         observations_(observations),
         stats_(stats),
         deadline_(deadline_ms),
-        hops_left_(100 * (params.walk.burn_in * params.walkers +
-                          count * params.walk.jump) +
-                   1000),
-        restarts_left_(sampling::AutoMaxRestarts(count)) {}
+        kernel_(ctx.network, params.walk, &params.engine.straggler,
+                &buffers.health, ctx.sink, count, params.walkers,
+                &buffers.neighbors) {}
 
   // Launches up to `walkers` tokens with near-even selection shares.
   void Launch(size_t count) {
@@ -67,15 +54,11 @@ class PhaseRuntime final : public net::StepHandler {
       size_t share = remaining / (params_.walkers - w);
       if (share == 0) continue;
       remaining -= share;
-      buf_.walker_current.push_back(sink_);
-      buf_.walker_burn_left.push_back(params_.walk.burn_in);
-      buf_.walker_since_selection.push_back(0);
-      buf_.walker_remaining.push_back(share);
-      buf_.walker_incarnation.push_back(network_->peer(sink_).incarnation());
+      buf_.walkers.push_back(kernel_.Launch(share));
       ++active_walkers_;
       events_.ScheduleStepAfter(
           network_->DrawHopLatency(), this,
-          static_cast<uint32_t>(buf_.walker_current.size() - 1));
+          static_cast<uint32_t>(buf_.walkers.size() - 1));
     }
   }
 
@@ -86,20 +69,20 @@ class PhaseRuntime final : public net::StepHandler {
   }
 
   // Batched walker-step kernel. A walker has at most one pending hop, so
-  // every arg in a batch is a distinct walker and the prefetched
-  // walker_current entries are stable across the loop: pull walker i+2's
-  // offset-table line and walker i+1's varint block while decoding walker
-  // i's neighbors.
+  // every arg in a batch is a distinct walker and the prefetched holders
+  // are stable across the loop: pull walker i+2's offset-table line and
+  // walker i+1's varint block while decoding walker i's neighbors.
   void RunSteps(const uint32_t* args, size_t n) override {
     const graph::Graph& graph = network_->graph();
     for (size_t i = 0; i < n; ++i) {
-      if (i + 2 < n) graph.PrefetchOffset(buf_.walker_current[args[i + 2]]);
-      if (i + 1 < n) {
-        graph.PrefetchNeighbors(buf_.walker_current[args[i + 1]]);
-      }
+      if (i + 2 < n) graph.PrefetchOffset(buf_.walkers[args[i + 2]].holder);
+      if (i + 1 < n) graph.PrefetchNeighbors(buf_.walkers[args[i + 1]].holder);
       StepWalker(args[i]);
     }
   }
+
+  // Recovery work the walkers spent (restarts, straggler forks).
+  const sampling::WalkStats& walk_stats() const { return kernel_.stats(); }
 
   // When the sink last learned something it needed: the latest accepted
   // reply or final walker termination. The queue keeps draining past this
@@ -108,11 +91,9 @@ class PhaseRuntime final : public net::StepHandler {
   double done_ms = 0.0;
 
  private:
-  // One walker hop arriving at a new peer. On the straggler-free default
-  // policy: identical draws, costs, history records and fault semantics as
-  // the closure-per-hop implementation this replaced — only the state
-  // layout (SoA indexed by `w`) changed. DrawPeerTailDelay consumes no
-  // draws without a tail regime, so legacy replay digests are untouched.
+  // One walker step event: one kernel transition, then wait for it on the
+  // event clock. A forwarded token waits out its transit, a fork the
+  // kernel's budget, a retransmit or a sink re-issue one fresh hop.
   void StepWalker(uint32_t w) {
     if (events_.now() >= deadline_) {
       // Anytime semantics: no new walker work at or past the deadline.
@@ -121,185 +102,45 @@ class PhaseRuntime final : public net::StepHandler {
       WalkerDone();
       return;
     }
-    if (hops_left_ == 0) {
-      // Hop budget exhausted: the token expires and its remaining
-      // selections are lost (the quorum check decides the phase's fate).
-      WalkerDone();
-      return;
-    }
-    --hops_left_;
-    const graph::NodeId holder = buf_.walker_current[w];
-    const net::ForwardingView neighbors =
-        network_->ForwardingSet(holder, &buf_.neighbors);
-    bool token_lost =
-        !network_->IsAlive(holder) ||
-        network_->peer(holder).incarnation() != buf_.walker_incarnation[w] ||
-        neighbors.empty();
-    if (!token_lost) {
-      const net::StragglerPolicy& sp = params_.engine.straggler;
-      graph::NodeId next = neighbors[rng_.UniformIndex(neighbors.size())];
-      const bool selection_due =
-          buf_.walker_burn_left[w] == 0 &&
-          buf_.walker_since_selection[w] + 1 >= params_.walk.jump;
-      // Circuit breaker: a tripped neighbor is not worth sending the token
-      // to — fork immediately, for free. Selection-due hops are exempt (the
-      // tripped peer's probability of being *selected* must stay exactly
-      // proportional to its degree), as are hops with no untripped
-      // alternative (a walk boxed in by bad peers must still make progress).
-      if (sp.health_tracking && !selection_due && neighbors.size() > 1 &&
-          buf_.health.Tripped(next) &&
-          HasUntrippedAlternative(neighbors, next)) {
-        ForkPastStraggler(w, holder, next, /*token_sent=*/false,
-                          /*transit_ms=*/0.0, /*wait_ms=*/0.0,
-                          /*selection_due=*/false);
+    sampling::WalkerState& walker = buf_.walkers[w];
+    const sampling::WalkerStep step = kernel_.Step(walker, rng_);
+    double delay_ms = step.wait_ms;  // A fork waits out the kernel's budget.
+    switch (step.action) {
+      case sampling::WalkerAction::kDone:
+        // A budget ran out or the token is unrecoverable: its remaining
+        // selections are lost (the quorum check decides the phase's fate).
+        WalkerDone();
         return;
-      }
-      if (sp.walk_not_wait) {
-        // Walk-Not-Wait: draw the hop's full transit (wire delay plus the
-        // neighbor's straggler tail) up front. Past the adaptive budget the
-        // token is still sent — on a selection-due hop the tardy peer is
-        // selected *in absentia*, preserving selection probabilities — but
-        // the walk refuses to wait: it forks from the holder once the
-        // budget elapses.
-        const double tail_ms = network_->DrawPeerTailDelay(next, rng_);
-        const double transit = network_->DrawHopLatency() + tail_ms;
-        const double budget = HopBudgetMs();
-        FoldWinsorized(&hop_ewma_, &hop_samples_, transit);
-        if (transit > budget && neighbors.size() > 1) {
-          ForkPastStraggler(w, holder, next, /*token_sent=*/true, transit,
-                            /*wait_ms=*/budget, selection_due);
-          return;
+      case sampling::WalkerAction::kRetransmit:
+      case sampling::WalkerAction::kRestart:
+        delay_ms = network_->DrawHopLatency();
+        break;
+      case sampling::WalkerAction::kFork:
+        // An in-absentia selection's reply leaves once the token arrives.
+        if (step.selected) SelectPeer(step.peer, step.transit_ms);
+        break;
+      case sampling::WalkerAction::kForward:
+      case sampling::WalkerAction::kSelect: {
+        // Without Walk-Not-Wait the event clock draws the transit itself.
+        // The neighbor's straggler tail (no draw without a tail regime)
+        // delays both its reply and the next hop.
+        const bool wnw = kernel_.walk_not_wait();
+        const double tail_ms =
+            wnw ? step.tail_ms : network_->DrawPeerTailDelay(step.peer, rng_);
+        if (step.selected) SelectPeer(step.peer, tail_ms);
+        delay_ms = step.transit_ms;
+        if (!wnw && walker.remaining > 0) {
+          delay_ms = network_->DrawHopLatency() + tail_ms;
+          kernel_.ScoreHop(step.peer, delay_ms, /*ok=*/true);
         }
-        util::Status sent =
-            network_->SendAlongEdge(net::MessageType::kWalker, holder, next);
-        if (sent.ok()) {
-          if (sp.health_tracking) buf_.health.Record(next, transit, true);
-          AdvanceWalker(w, next, tail_ms);
-          if (buf_.walker_remaining[w] > 0) {
-            events_.ScheduleStepAfter(transit, this, w);
-          } else {
-            WalkerDone();  // All selections gathered.
-          }
-          return;
-        }
-        if (sp.health_tracking) buf_.health.Record(next, 0.0, false);
-        if (network_->IsAlive(holder) && network_->AliveDegree(holder) > 0) {
-          events_.ScheduleStepAfter(network_->DrawHopLatency(), this, w);
-          return;
-        }
-        token_lost = true;
-      } else {
-        util::Status sent =
-            network_->SendAlongEdge(net::MessageType::kWalker, holder, next);
-        if (sent.ok()) {
-          // The synchronous ledger summed this hop's latency; the event
-          // clock is authoritative here, so draw the event delay
-          // independently. The neighbor's straggler tail (0 draws without a
-          // tail regime) delays both its reply and the next hop.
-          const double tail_ms = network_->DrawPeerTailDelay(next, rng_);
-          AdvanceWalker(w, next, tail_ms);
-          if (buf_.walker_remaining[w] > 0) {
-            const double transit = network_->DrawHopLatency() + tail_ms;
-            if (sp.health_tracking) {
-              buf_.health.Record(next, transit, true);
-              FoldWinsorized(&hop_ewma_, &hop_samples_, transit);
-            }
-            events_.ScheduleStepAfter(transit, this, w);
-          } else {
-            WalkerDone();  // All selections gathered.
-          }
-          return;
-        }
-        if (sp.health_tracking) buf_.health.Record(next, 0.0, false);
-        // The hop was lost in transit (drop, or the chosen neighbor crashed
-        // on receipt). A live holder with a live route still has the token:
-        // link-level retransmit after a timeout.
-        if (network_->IsAlive(holder) && network_->AliveDegree(holder) > 0) {
-          events_.ScheduleStepAfter(network_->DrawHopLatency(), this, w);
-          return;
-        }
-        token_lost = true;
+        break;
       }
     }
-    // The token is gone: its holder crashed or stranded with no live
-    // route. The sink re-issues it with a *fresh burn-in* — a token
-    // restarted at the sink is no longer stationary-distributed.
-    if (!network_->IsAlive(sink_) || network_->AliveDegree(sink_) == 0 ||
-        restarts_left_ == 0) {
-      WalkerDone();  // Unrecoverable: selections lost.
+    if (walker.remaining == 0) {
+      WalkerDone();  // All selections gathered.
       return;
     }
-    --restarts_left_;
-    ++stats_.walk_restarts;
-    buf_.walker_current[w] = sink_;
-    buf_.walker_incarnation[w] = network_->peer(sink_).incarnation();
-    buf_.walker_burn_left[w] = params_.walk.burn_in;
-    buf_.walker_since_selection[w] = 0;
-    events_.ScheduleStepAfter(network_->DrawHopLatency(), this, w);
-  }
-
-  // Successful hop bookkeeping shared by the legacy and Walk-Not-Wait
-  // branches: advance the token, consume burn-in, select when due.
-  // `reply_extra_ms` folds the token's tardy inbound transit into the
-  // reply's departure (a slow peer cannot scan before the token arrives).
-  void AdvanceWalker(uint32_t w, graph::NodeId next, double reply_extra_ms) {
-    buf_.walker_current[w] = next;
-    buf_.walker_incarnation[w] = network_->peer(next).incarnation();
-    if (buf_.walker_burn_left[w] > 0) {
-      --buf_.walker_burn_left[w];
-    } else if (++buf_.walker_since_selection[w] >= params_.walk.jump) {
-      buf_.walker_since_selection[w] = 0;
-      --buf_.walker_remaining[w];
-      SelectPeer(next, reply_extra_ms);
-    }
-  }
-
-  // Walk-Not-Wait fork: give up on a tardy (token_sent) or breaker-tripped
-  // (!token_sent) neighbor. With token_sent the token genuinely goes out —
-  // charged like any hop, and when the hop was selection-due the tardy peer
-  // is selected *in absentia* (its scan and reply proceed with the tardy
-  // transit folded in), so selection probabilities are exactly those of the
-  // unforked walk. The walk itself treats the fork as a *lazy self-loop*:
-  // the walker stays at the holder, waits out `wait_ms`, and redraws — no
-  // burn-in reset, no counter reset. Self-loops preserve detailed balance
-  // for the degree-stationary distribution, so forking never conditions
-  // the trajectory on having avoided slow peers (a re-burn-in here would:
-  // the restarted chain mixes under the forked kernel and warps the holder
-  // distribution toward slow-free neighborhoods). Breaker skips send
-  // nothing and wait for nothing; they only fire on non-selection-due hops.
-  void ForkPastStraggler(uint32_t w, graph::NodeId holder, graph::NodeId next,
-                         bool token_sent, double transit_ms, double wait_ms,
-                         bool selection_due) {
-    ++stats_.straggler_skips;
-    if (history_ != nullptr) {
-      history_->Record(net::HistoryEventKind::kStragglerSkip,
-                       net::MessageType::kWalker, holder, next);
-    }
-    if (token_sent) {
-      util::Status sent =
-          network_->SendAlongEdge(net::MessageType::kWalker, holder, next);
-      if (params_.engine.straggler.health_tracking) {
-        buf_.health.Record(next, transit_ms, sent.ok());
-      }
-      if (sent.ok() && selection_due) {
-        buf_.walker_since_selection[w] = 0;
-        --buf_.walker_remaining[w];
-        SelectPeer(next, transit_ms);
-      }
-    }
-    if (buf_.walker_remaining[w] == 0) {
-      WalkerDone();
-      return;
-    }
-    events_.ScheduleStepAfter(wait_ms, this, w);
-  }
-
-  bool HasUntrippedAlternative(const net::ForwardingView& neighbors,
-                               graph::NodeId skip) const {
-    for (graph::NodeId n : neighbors) {
-      if (n != skip && !buf_.health.Tripped(n)) return true;
-    }
-    return false;
+    events_.ScheduleStepAfter(delay_ms, this, w);
   }
 
   // One walker token retired (selections gathered, expired, or lost). The
@@ -309,16 +150,6 @@ class PhaseRuntime final : public net::StepHandler {
     if (--active_walkers_ == 0 && events_.now() > done_ms) {
       done_ms = events_.now();
     }
-  }
-
-  // Adaptive Walk-Not-Wait hop budget: a multiple of the EWMA hop transit,
-  // floored so a quiet network cannot shrink it below ~2 nominal hops.
-  // Infinite until a few hops have been observed (never fork blind).
-  double HopBudgetMs() const {
-    if (hop_samples_ < 3) return std::numeric_limits<double>::infinity();
-    double budget = net::kHopBudgetFactor * hop_ewma_;
-    double floor = net::kHopBudgetFloorHops * network_->NominalHopLatencyMs();
-    return budget < floor ? floor : budget;
   }
 
   // Sink-side hedge timer: a reply slower than this multiple of the EWMA
@@ -370,7 +201,7 @@ class PhaseRuntime final : public net::StepHandler {
         });
     if (sp.health_tracking) buf_.health.Record(peer, delay, delivered);
     if (delivered) {
-      FoldWinsorized(&reply_ewma_, &reply_samples_, delay);
+      net::FoldWinsorized(&reply_ewma_, &reply_samples_, delay);
       DeliverReply(obs, delay);
       // Hedged retransmit: the sink's hedge timer fires before a straggling
       // primary can arrive, so one duplicate copy goes out; whichever copy
@@ -457,15 +288,13 @@ class PhaseRuntime final : public net::StepHandler {
   // (the ledger and the reply arena still balance).
   TwoPhaseEngine::CollectionStats& stats_;
   const double deadline_;  // Absolute event-clock instant; +inf = none.
-  size_t hops_left_;       // Global hop budget across all walkers.
-  size_t restarts_left_;   // Global token-restart budget.
+  // The walkers' shared transition: hop and restart budgets across all
+  // walkers, the Walk-Not-Wait hop EWMA, the breaker.
+  sampling::WalkerKernel kernel_;
   size_t active_walkers_ = 0;
   size_t pending_replies_ = 0;
   size_t selections_ = 0;
-  // Adaptive-budget state (Walk-Not-Wait and hedging), warmed by the first
-  // few observed transits/replies of the query itself.
-  double hop_ewma_ = 0.0;
-  size_t hop_samples_ = 0;
+  // Hedge-timer state, warmed by the phase's first few replies.
   double reply_ewma_ = 0.0;
   size_t reply_samples_ = 0;
 };
@@ -506,16 +335,9 @@ util::Result<std::vector<PeerObservation>> AsyncQuerySession::RunPhase(
   observations.reserve(count);
   buffers_.dedup.Open(network_, sink, count);
   buffers_.neighbors.reserve(network_->graph().max_degree());
-  buffers_.walker_current.clear();
-  buffers_.walker_burn_left.clear();
-  buffers_.walker_since_selection.clear();
-  buffers_.walker_remaining.clear();
-  buffers_.walker_incarnation.clear();
-  buffers_.walker_current.reserve(params_.walkers);
-  buffers_.walker_burn_left.reserve(params_.walkers);
-  buffers_.walker_since_selection.reserve(params_.walkers);
-  buffers_.walker_remaining.reserve(params_.walkers);
-  buffers_.walker_incarnation.reserve(params_.walkers);
+  buffers_.exec.Reserve(params_.engine.tuples_per_peer);
+  buffers_.walkers.clear();
+  buffers_.walkers.reserve(params_.walkers);
   // Pending set: one hop event per walker plus the replies in flight (the
   // adversary's replayed copies can push past it; that growth is amortized
   // and absent from the gated fault-free configs). Hedging doubles the
@@ -547,6 +369,8 @@ util::Result<std::vector<PeerObservation>> AsyncQuerySession::RunPhase(
   events.RunUntilEmpty();
   if (drain_allocs != nullptr) *drain_allocs += alloc_guard.allocations();
 
+  stats->walk_restarts = runtime.walk_stats().restarts;
+  stats->straggler_skips = runtime.walk_stats().straggler_skips;
   stats->duplicate_replies = buffers_.dedup.duplicates();
   // A deadline-curtailed phase answers exactly when its budget runs out;
   // otherwise the clock stops at the last needed arrival, not at the

@@ -21,6 +21,7 @@
 #include "net/churn.h"
 #include "net/event_sim.h"
 #include "query/local_executor.h"
+#include "sampling/walker_kernel.h"
 
 namespace p2paqp::core {
 
@@ -72,16 +73,10 @@ struct AsyncHotBuffers {
   // Sink-side reply dedup of the current phase (core/reply_path.h), opened
   // per phase before the drain so arrivals never grow it.
   ReplyDedup dedup;
-  // Walker state, struct-of-arrays: the batched step kernel walks these
-  // linearly and prefetches the *next* walkers' adjacency while decoding the
-  // current one's (graph::Graph::PrefetchOffset/PrefetchNeighbors).
-  std::vector<graph::NodeId> walker_current;
-  std::vector<size_t> walker_burn_left;
-  std::vector<size_t> walker_since_selection;
-  std::vector<size_t> walker_remaining;
-  // Incarnation of walker_current captured when it received the token; a
-  // mismatch at hop time means the holder died and rejoined between events.
-  std::vector<uint64_t> walker_incarnation;
+  // Walker tokens, indexed by the step events' walker argument. The
+  // batched step kernel prefetches the *next* walkers' adjacency while the
+  // current one hops (graph::Graph::PrefetchOffset/PrefetchNeighbors).
+  std::vector<sampling::WalkerState> walkers;
   // Per-peer EWMA latency/failure scoreboard feeding the circuit breaker
   // (straggler policy). Reset per query *before* the drain (flat arrays, so
   // Record()/Tripped() are allocation-free inside the event loop).
@@ -109,9 +104,9 @@ class AsyncQuerySession {
   // Runs one phase: `count` selections spread over the walkers; returns the
   // collected observations and completes when the last reply arrives. This
   // is the collection round RunTwoPhasePlan drives, over the shared reply
-  // path (core/reply_path.h); lost walker tokens are re-issued by the sink
-  // with a fresh burn-in. Allocations made while the event loop drains are
-  // added to `*drain_allocs`.
+  // path (core/reply_path.h); each walker hop is one
+  // sampling::WalkerKernel transition. Allocations made while the event
+  // loop drains are added to `*drain_allocs`.
   //
   // `deadline_ms` is the query deadline budget REMAINING at phase start
   // (+inf = none): walker steps at or past it stop scheduling work, replies

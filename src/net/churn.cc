@@ -85,6 +85,9 @@ void ChurnModel::RunOnEventQueue(EventQueue& events, SimulatedNetwork* network,
                                  std::function<bool()> keep_going) {
   P2PAQP_CHECK(network != nullptr);
   P2PAQP_CHECK_GT(interval_ms, 0.0);
+  // Epochs inside the drain then reuse reserved lists.
+  network->ReserveDepartures();
+  rejoin_candidates_.reserve(network->num_peers());
   // Self-rescheduling tick. The closure holds only a weak self-reference
   // (the strong references live in the queued events), so the chain is
   // freed as soon as keep_going declines to reschedule. keep_going is the

@@ -37,6 +37,8 @@ FaultInjector::FaultInjector(FaultPlan plan, uint64_t seed, size_t num_peers)
                    });
   // One message can bring every scheduled crash plus one drawn crash.
   crashed_.reserve(plan_.scheduled_crashes.size() + 1);
+  // Reserved whole here, outside any drain, so no fault allocates.
+  trace_.reserve(kTraceCapacity);
   // The slow coalition is drafted once at construction from a salted
   // sub-stream, so membership depends only on (plan, seed, num_peers) — not
   // on message traffic — and Clone()d networks redraw deterministically.
@@ -119,7 +121,6 @@ bool FaultInjector::IsImmune(graph::NodeId peer) const {
 
 void FaultInjector::Trace(const FaultEvent& event) {
   if (trace_.size() == kTraceCapacity) return;
-  if (trace_.empty()) trace_.reserve(kTraceCapacity);
   trace_.push_back(event);
 }
 

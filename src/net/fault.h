@@ -174,8 +174,8 @@ class FaultInjector {
 
   // The first kTraceCapacity injected faults, in injection order. Later
   // faults still count above but are not traced, so a long lossy run
-  // neither grows the trace without bound nor allocates in a warm drain:
-  // the first fault reserves the whole capacity.
+  // neither grows the trace without bound nor allocates in a drain: the
+  // constructor reserves the whole capacity.
   static constexpr size_t kTraceCapacity = 4096;
   const std::vector<FaultEvent>& trace() const { return trace_; }
 

@@ -50,8 +50,8 @@ struct StragglerPolicy {
   bool health_tracking = false;
 };
 
-// Walk-Not-Wait hop budget: this multiple of the hop-transit EWMA (the
-// synchronous walk, which observes no transits, uses the nominal hop)...
+// Walk-Not-Wait hop budget: this multiple of the walker's hop-transit
+// EWMA (sampling::WalkerKernel)...
 inline constexpr double kHopBudgetFactor = 4.0;
 // ...never below this many nominal hops, so a lucky streak of fast hops
 // cannot shrink the budget into hair-trigger territory.
@@ -71,6 +71,18 @@ inline constexpr double kHealthEwmaAlpha = 0.2;
 inline constexpr size_t kBreakerMinSamples = 4;
 inline constexpr double kBreakerFailureThreshold = 0.6;
 inline constexpr double kBreakerLatencyFactor = 8.0;
+
+// Winsorized EWMA step feeding the adaptive budgets (the walker's hop
+// budget and the sink's hedge timer): a single straggler observation must
+// not drag a budget up to straggler scale, so a sample is clamped to 8x the
+// running mean before folding in. The first sample seeds the mean.
+inline void FoldWinsorized(double* mean, size_t* samples, double x) {
+  const double clamped = *samples > 0 && x > 8.0 * *mean ? 8.0 * *mean : x;
+  *mean = *samples == 0
+              ? clamped
+              : (1.0 - kHealthEwmaAlpha) * *mean + kHealthEwmaAlpha * clamped;
+  ++*samples;
+}
 
 // Sink-side wait before retry `attempt` (1-based) under `policy`: the fixed
 // timer, or jittered exponential backoff drawn from `rng`. Consumes RNG only

@@ -109,11 +109,6 @@ SimulatedNetwork SimulatedNetwork::Clone(uint64_t seed) const {
   return copy;
 }
 
-const Peer& SimulatedNetwork::peer(graph::NodeId id) const {
-  P2PAQP_CHECK(id < peers_.size()) << id;
-  return peers_[id];
-}
-
 void SimulatedNetwork::SetAlive(graph::NodeId id, bool alive) {
   P2PAQP_CHECK(id < peers_.size()) << id;
   Peer& p = peers_[id];
@@ -125,7 +120,7 @@ void SimulatedNetwork::SetAlive(graph::NodeId id, bool alive) {
     peers_[moved].departed_slot_ = p.departed_slot_;
     departed_.pop_back();
   } else {
-    if (departed_.capacity() < peers_.size()) departed_.reserve(peers_.size());
+    ReserveDepartures();
     p.departed_slot_ = static_cast<uint32_t>(departed_.size());
     departed_.push_back(id);
   }

@@ -200,8 +200,13 @@ class SimulatedNetwork {
   // SetAlive, so churn, crash faults and loaded worlds all show here, and
   // a churn epoch can visit the departed without scanning every peer.
   const std::vector<graph::NodeId>& departed() const { return departed_; }
+  // Sizes the departed list for every peer, so no departure allocates.
+  void ReserveDepartures() { departed_.reserve(peers_.size()); }
 
-  const Peer& peer(graph::NodeId id) const;
+  const Peer& peer(graph::NodeId id) const {
+    P2PAQP_CHECK(id < peers_.size()) << id;
+    return peers_[id];
+  }
 
   bool IsAlive(graph::NodeId id) const { return peers_[id].alive(); }
   // Marks a peer as departed/re-joined (Gnutella-style churn: connections of

@@ -65,6 +65,18 @@ LocalAggregate ExecuteLocal(const data::LocalDatabase& db,
   return ExecuteLocal(db, query, policy, rng, &scratch);
 }
 
+void LocalExecScratch::Reserve(size_t t) {
+  // At most t rows, indices, spans and draws; Rng::SampleIndicesInto
+  // permutes up to 3t entries or stamps fewer than t^2 (capped at 2^16).
+  values.reserve(t);
+  indices.reserve(t);
+  spans.reserve(t);
+  sample.draws.reserve(t);
+  sample.identity.reserve(3 * t);
+  const size_t stamps = std::min<size_t>(t * t, size_t{1} << 16);
+  if (sample.stamp.size() < stamps) sample.stamp.resize(stamps, 0);
+}
+
 LocalAggregate ExecuteLocal(const data::LocalDatabase& db,
                             const AggregateQuery& query,
                             const SubSamplePolicy& policy, util::Rng& rng,

@@ -70,6 +70,10 @@ struct LocalExecScratch {
   std::vector<size_t> indices;
   std::vector<std::pair<size_t, size_t>> spans;
   util::SampleScratch sample;
+
+  // Grows every buffer to what a scan under budget `t` > 0 can need, so
+  // later scans do not allocate (t == 0 grows with the largest table).
+  void Reserve(size_t t);
 };
 
 // Executes `query` on `db` under the given sub-sampling policy.

@@ -38,9 +38,8 @@ struct WalkParams {
   // Hops taken before the first selection so the walk forgets the sink.
   size_t burn_in = 0;
   WalkVariant variant = WalkVariant::kSimple;
-  // Abort guard: the walk fails after this many hops without completing
-  // (0 = automatic, see AutoMaxHops). Lazy self-loops and in-place
-  // retransmissions count as hops; sink-issued restarts do not.
+  // Abort guard: the walk fails after this many transitions (WalkStats::hops)
+  // without completing (0 = automatic, see AutoMaxHops).
   size_t max_hops = 0;
   // How many times the sink may re-issue a lost walker token (the holder
   // crashed or stranded with no live route) before giving up
@@ -51,25 +50,19 @@ struct WalkParams {
   // that many query bodies behind a single shared header. 1 = the paper's
   // per-query walker, bit-identical to the pre-batching transport.
   uint32_t batch = 1;
-  // Straggler-resilience wiring (non-owning; both may be null = off; active
-  // for the kSimple variant only). With walk_not_wait, a non-selection-due
-  // hop whose chosen neighbor draws a tardy transit (tail delay above the
-  // hop budget) is abandoned after waiting out the budget; with
-  // health_tracking, hops toward breaker-tripped peers are abandoned
-  // immediately. A fork is a *lazy self-loop* — the holder keeps the token
-  // and redraws next step — which preserves detailed balance for the
-  // degree-stationary distribution, and selection-due hops never fork (the
-  // tardy peer stays exactly as selectable as its degree says), so
-  // Horvitz-Thompson weights stay unbiased.
+  // Straggler resilience (non-owning; null = off; simple walk only), as
+  // WalkerKernel applies it (DESIGN.md, "Straggler semantics").
   const net::StragglerPolicy* straggler = nullptr;
   net::PeerHealthBoard* health = nullptr;
 };
 
-// Overflow-safe automatic hop budget: ~100x the nominal walk length, doubled
-// for the lazy and Metropolis-Hastings variants whose self-loops burn hops
-// without progress. Saturates at SIZE_MAX instead of wrapping for large
-// num_selections * jump.
-size_t AutoMaxHops(const WalkParams& params, size_t num_selections);
+// Overflow-safe automatic hop budget of one round of `walkers` tokens:
+// ~100x the nominal walk length (one burn-in per token, the selections'
+// jumps), doubled for the lazy and Metropolis-Hastings variants whose
+// self-loops burn hops without progress. Saturates at SIZE_MAX instead of
+// wrapping for large num_selections * jump.
+size_t AutoMaxHops(const WalkParams& params, size_t num_selections,
+                   size_t walkers = 1);
 
 // Automatic walker-restart budget: 2 * num_selections + 16 (saturating).
 size_t AutoMaxRestarts(size_t num_selections);
@@ -83,8 +76,8 @@ struct PeerVisit {
 
 // Recovery work spent by one collection.
 struct WalkStats {
-  // Chain transitions taken, including lazy/rejected self-loops and failed
-  // hop attempts that were retried in place.
+  // Transitions attempted: hops, self-loops, forks, retransmits, and the
+  // attempt that found the token lost.
   size_t hops = 0;
   // Times the sink re-issued a lost walker token.
   size_t restarts = 0;
@@ -137,16 +130,9 @@ class RandomWalk {
   const WalkParams& params() const { return params_; }
 
  private:
-  // One walker transition from `current`; returns the next peer (may equal
-  // `current` for lazy/rejected/forked steps). Charges message costs for
-  // real hops. When `allow_skip`, a tardy/tripped choice is abandoned as a
-  // lazy self-loop (`*skipped` set; no traffic, counters stay put).
-  util::Result<graph::NodeId> Step(graph::NodeId current, util::Rng& rng,
-                                   bool allow_skip, bool* skipped);
-
   net::SimulatedNetwork* network_;
   WalkParams params_;
-  // Scratch for ForwardingSet, reused across every Step of every
+  // Scratch for ForwardingSet, reused across every hop of every
   // collection: filled only while an adversary plan is installed, and its
   // capacity plateaus at the walk's maximum live degree, so the synchronous
   // hop loop stops allocating once warm.

@@ -3,7 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "graph/builder.h"
 #include "net/fault.h"
+#include "net/history.h"
+#include "sampling/random_walk.h"
 #include "test_common.h"
 #include "util/statistics.h"
 
@@ -320,6 +327,420 @@ TEST_F(AsyncSessionTest, SumQueriesWork) {
       tn_->network, report->answer.estimate, 1, 100);
   EXPECT_LT(err, 0.12);
 }
+
+// ---- One walker decision table for both executors ----
+//
+// Each row scripts one walker situation on a hand-built overlay and drives
+// it through the synchronous walk (RandomWalk::CollectResilient, one
+// selection) and a one-walker AsyncQuerySession with the same query seed.
+// Hop latency is constant, the straggler tail (when any) is a deterministic
+// coalition, and peers hold no tuples, so until the first selection both
+// executors draw the same stream: their walker histories up to the first
+// reply must be identical, and so must the straggler skips and walker
+// restarts those histories hold. The row's expectation then checks the
+// prescribed action on that history. A row scans seeds for one whose walk
+// reaches its situation; no seed at all is a failure too.
+
+constexpr graph::NodeId kTableSink = 0;
+
+struct TableWorld {
+  std::function<graph::Graph()> graph;
+  net::FaultPlan faults;
+  net::StragglerPolicy policy;
+  size_t jump = 1;
+  size_t burn_in = 0;
+  size_t max_hops = 10000;
+  size_t max_restarts = 16;
+};
+
+// The walker-level history: hops, forks and liveness changes.
+struct WalkerEvent {
+  net::HistoryEventKind kind;
+  graph::NodeId from;
+  graph::NodeId to;
+  bool operator==(const WalkerEvent&) const = default;
+};
+
+struct TableRun {
+  std::vector<WalkerEvent> events;
+  // Sync only: the collection's outcome.
+  sampling::WalkOutcome outcome;
+};
+
+net::SimulatedNetwork MakeTableNetwork(const TableWorld& world) {
+  net::NetworkParams params;
+  params.hop_latency_jitter_ms = 0.0;  // No latency draws: aligned streams.
+  auto network =
+      net::SimulatedNetwork::Make(world.graph(), {}, params, /*seed=*/5);
+  P2PAQP_CHECK(network.ok()) << network.status().ToString();
+  if (world.faults.enabled()) network->InstallFaultPlan(world.faults, 77);
+  return std::move(*network);
+}
+
+std::vector<WalkerEvent> WalkerPrefix(const net::HistoryRecorder& history) {
+  std::vector<WalkerEvent> out;
+  for (const net::HistoryEvent& e : history.events()) {
+    if (e.type == net::MessageType::kAggregateReply) break;  // 1st selection.
+    out.push_back(WalkerEvent{e.kind, e.from, e.to});
+  }
+  return out;
+}
+
+sampling::WalkParams TableWalk(const TableWorld& world) {
+  sampling::WalkParams walk;
+  walk.jump = world.jump;
+  walk.burn_in = world.burn_in;
+  walk.max_hops = world.max_hops;
+  walk.max_restarts = world.max_restarts;
+  return walk;
+}
+
+TableRun RunSyncWalk(const TableWorld& world, uint64_t seed) {
+  net::SimulatedNetwork network = MakeTableNetwork(world);
+  net::HistoryRecorder history;
+  network.set_history(&history);
+  net::PeerHealthBoard health;
+  health.Reset(network.num_peers());
+  sampling::WalkParams walk = TableWalk(world);
+  walk.straggler = &world.policy;
+  walk.health = &health;
+  sampling::RandomWalk walker(&network, walk);
+  util::Rng rng(seed);
+  auto outcome = walker.CollectResilient(kTableSink, 1, rng);
+  P2PAQP_CHECK(outcome.ok()) << outcome.status().ToString();
+  network.set_history(nullptr);
+  return TableRun{WalkerPrefix(history), std::move(*outcome)};
+}
+
+TableRun RunAsyncWalk(const TableWorld& world, uint64_t seed) {
+  net::SimulatedNetwork network = MakeTableNetwork(world);
+  net::HistoryRecorder history;
+  network.set_history(&history);
+  core::AsyncParams params;
+  params.engine.phase1_peers = 2;
+  params.engine.straggler = world.policy;
+  params.walkers = 1;
+  params.walk = TableWalk(world);
+  core::SystemCatalog catalog =
+      core::MakeCatalog(network.graph(), world.jump, world.burn_in);
+  core::AsyncQuerySession session(&network, catalog, params);
+  query::AggregateQuery query;
+  query.op = query::AggregateOp::kCount;
+  query.predicate = query::RangePredicate{1, 40};
+  util::Rng rng(seed);
+  (void)session.Execute(query, kTableSink, rng);  // Rows may starve it.
+  network.set_history(nullptr);
+  return TableRun{WalkerPrefix(history), {}};
+}
+
+// Replays a walker history: straggler skips (one record per fork) and sink
+// re-issues (a hop sent from the sink while the token was elsewhere).
+struct Replay {
+  size_t skips = 0;
+  size_t restarts = 0;
+};
+
+Replay ReplayHistory(const std::vector<WalkerEvent>& events) {
+  Replay replay;
+  graph::NodeId holder = kTableSink;
+  // The last skip record, and whether the hop in flight is its fork's
+  // token (which leaves the holder in place).
+  WalkerEvent skip{net::HistoryEventKind::kStragglerSkip, graph::kInvalidNode,
+                   graph::kInvalidNode};
+  bool forking = false;
+  for (const WalkerEvent& e : events) {
+    switch (e.kind) {
+      case net::HistoryEventKind::kStragglerSkip:
+        ++replay.skips;
+        skip = e;
+        break;
+      case net::HistoryEventKind::kSend:
+        forking = e.from == skip.from && e.to == skip.to;
+        skip.from = graph::kInvalidNode;
+        if (e.from != holder) {
+          EXPECT_EQ(e.from, kTableSink) << "hop from a non-holder";
+          ++replay.restarts;
+          holder = kTableSink;
+        }
+        break;
+      case net::HistoryEventKind::kDeliver:
+        if (!forking) holder = e.to;
+        break;
+      default:
+        break;
+    }
+  }
+  return replay;
+}
+
+struct TableRow {
+  const char* name;
+  TableWorld world;
+  // True when the sync walk at this seed reached the row's situation.
+  std::function<bool(const TableRun&)> reached;
+  // The prescribed action, checked on the (shared) walker history.
+  std::function<void(const TableRun&)> expect;
+};
+
+// Clique {0,1,2,3} of fast peers; slow peers 4 and 5 hang off 1, 2 and 3.
+graph::Graph FastCoreSlowRim() {
+  graph::GraphBuilder builder(6);
+  for (graph::NodeId a = 0; a < 4; ++a) {
+    for (graph::NodeId b = a + 1; b < 4; ++b) builder.AddEdge(a, b);
+  }
+  for (graph::NodeId core : {1, 2, 3}) {
+    builder.AddEdge(core, 4);
+    builder.AddEdge(core, 5);
+  }
+  return builder.Build();
+}
+
+// Every peer but the fast core is consistently 1000x tardy (no RNG drawn).
+TableWorld SlowRimWorld(size_t burn_in) {
+  TableWorld world;
+  world.graph = FastCoreSlowRim;
+  world.faults.slow_fraction = 1.0;
+  world.faults.slow_factor = 1000.0;
+  world.faults.crash_immune = {0, 1, 2, 3};
+  world.policy.walk_not_wait = true;
+  world.burn_in = burn_in;
+  return world;
+}
+
+// Wheel: the sink is the hub of the ring 1..6.
+graph::Graph Wheel() {
+  graph::GraphBuilder builder(7);
+  for (graph::NodeId r = 1; r <= 6; ++r) {
+    builder.AddEdge(0, r);
+    builder.AddEdge(r, r % 6 + 1);
+  }
+  return builder.Build();
+}
+
+std::vector<TableRow> DecisionTable() {
+  std::vector<TableRow> rows;
+  // A selection-due tardy hop sends the token, selects the peer in
+  // absentia and forks: the holder keeps the token.
+  rows.push_back(TableRow{
+      "tardy_selection_due", SlowRimWorld(/*burn_in=*/3),
+      [](const TableRun& run) {
+        return run.outcome.stats.straggler_skips > 0 &&
+               run.outcome.visits.size() == 1;
+      },
+      [](const TableRun& run) {
+        const auto& ev = run.events;
+        ASSERT_GE(ev.size(), 3u);
+        const WalkerEvent& skip = ev[ev.size() - 3];
+        EXPECT_EQ(skip.kind, net::HistoryEventKind::kStragglerSkip);
+        EXPECT_EQ(ev[ev.size() - 2],
+                  (WalkerEvent{net::HistoryEventKind::kSend, skip.from,
+                               skip.to}));
+        EXPECT_EQ(ev.back(), (WalkerEvent{net::HistoryEventKind::kDeliver,
+                                          skip.from, skip.to}));
+        EXPECT_EQ(run.outcome.visits.front().peer, skip.to);
+        EXPECT_GE(skip.to, 4u);  // A slow rim peer.
+      }});
+  // A tardy hop that is not due still sends the token, selects nothing and
+  // forks: the next hop leaves from the same holder.
+  rows.push_back(TableRow{
+      "tardy_not_due", SlowRimWorld(/*burn_in=*/8),
+      [](const TableRun& run) {
+        const auto& ev = run.events;
+        for (size_t i = 0; i + 3 < ev.size(); ++i) {
+          if (ev[i].kind == net::HistoryEventKind::kStragglerSkip) {
+            return true;
+          }
+        }
+        return false;
+      },
+      [](const TableRun& run) {
+        const auto& ev = run.events;
+        bool forked_before_selection = false;
+        for (size_t i = 0; i < ev.size(); ++i) {
+          if (ev[i].kind != net::HistoryEventKind::kStragglerSkip) continue;
+          ASSERT_LT(i + 2, ev.size());
+          EXPECT_EQ(ev[i + 1], (WalkerEvent{net::HistoryEventKind::kSend,
+                                            ev[i].from, ev[i].to}));
+          if (i + 3 >= ev.size()) continue;  // The selection-due fork.
+          forked_before_selection = true;
+          EXPECT_EQ(ev[i + 3].from, ev[i].from) << "fork left the holder";
+          EXPECT_NE(run.outcome.visits.front().peer, ev[i].to);
+        }
+        EXPECT_TRUE(forked_before_selection);
+      }});
+  // Breaker: every hop is dropped, so the sink's two leaves trip one after
+  // the other. A tripped pick forks for free only while the other leaf is
+  // untripped; once both are tripped the hop goes out anyway.
+  TableWorld lossy_leaves;
+  lossy_leaves.graph = [] {
+    graph::GraphBuilder builder(3);
+    builder.AddEdge(0, 1);
+    builder.AddEdge(0, 2);
+    return builder.Build();
+  };
+  lossy_leaves.faults.drop_probability = 1.0;
+  lossy_leaves.policy.health_tracking = true;
+  lossy_leaves.burn_in = 5;
+  lossy_leaves.max_hops = 60;
+  auto breaker_replay = [](const TableRun& run, size_t* skips_with_alt,
+                           size_t* sends_without_alt) {
+    net::PeerHealthBoard board;
+    board.Reset(3);
+    for (const WalkerEvent& e : run.events) {
+      const graph::NodeId other = e.to == 1 ? 2 : 1;
+      if (e.kind == net::HistoryEventKind::kStragglerSkip) {
+        EXPECT_TRUE(board.Tripped(e.to));
+        EXPECT_FALSE(board.Tripped(other)) << "skipped with no alternative";
+        ++*skips_with_alt;
+      } else if (e.kind == net::HistoryEventKind::kSend) {
+        EXPECT_TRUE(!board.Tripped(e.to) || board.Tripped(other))
+            << "sent to a tripped peer past an untripped one";
+        if (board.Tripped(e.to)) ++*sends_without_alt;
+      } else if (e.kind == net::HistoryEventKind::kDrop) {
+        board.Record(e.to, 0.0, false);
+      }
+    }
+  };
+  rows.push_back(TableRow{
+      "tripped_with_alternative", lossy_leaves,
+      [](const TableRun& run) { return run.outcome.stats.straggler_skips > 0; },
+      [breaker_replay](const TableRun& run) {
+        size_t skips = 0, sends = 0;
+        breaker_replay(run, &skips, &sends);
+        EXPECT_GT(skips, 0u);
+      }});
+  rows.push_back(TableRow{
+      "tripped_without_alternative", lossy_leaves,
+      [breaker_replay](const TableRun& run) {
+        size_t skips = 0, sends = 0;
+        breaker_replay(run, &skips, &sends);
+        return sends > 0;
+      },
+      [breaker_replay](const TableRun& run) {
+        size_t skips = 0, sends = 0;
+        breaker_replay(run, &skips, &sends);
+        EXPECT_GT(sends, 0u);
+        EXPECT_TRUE(run.outcome.truncated);
+        EXPECT_EQ(run.outcome.truncation.code(),
+                  util::StatusCode::kOutOfRange);
+      }});
+  // A hop lost in transit is retried by the same holder.
+  TableWorld lossy_wheel;
+  lossy_wheel.graph = Wheel;
+  lossy_wheel.faults.drop_probability = 0.3;
+  lossy_wheel.burn_in = 10;
+  rows.push_back(TableRow{
+      "lost_in_transit", lossy_wheel,
+      [](const TableRun& run) {
+        for (const WalkerEvent& e : run.events) {
+          if (e.kind == net::HistoryEventKind::kDrop) return true;
+        }
+        return false;
+      },
+      [](const TableRun& run) {
+        const auto& ev = run.events;
+        for (size_t i = 0; i + 1 < ev.size(); ++i) {
+          if (ev[i].kind != net::HistoryEventKind::kDrop) continue;
+          EXPECT_EQ(ev[i + 1].kind, net::HistoryEventKind::kSend);
+          EXPECT_EQ(ev[i + 1].from, ev[i].from) << "retransmit moved";
+        }
+        EXPECT_EQ(run.outcome.stats.restarts, 0u);
+      }});
+  // A crashed holder loses the token; the sink re-issues it and the walk
+  // burns in again before it selects.
+  TableWorld crashing_wheel;
+  crashing_wheel.graph = Wheel;
+  crashing_wheel.faults.scheduled_crashes = {{9, 1}, {9, 2}, {9, 3}};
+  crashing_wheel.faults.crash_immune = {0};
+  crashing_wheel.burn_in = 12;
+  rows.push_back(TableRow{
+      "crashed_holder_restarts", crashing_wheel,
+      [](const TableRun& run) { return run.outcome.stats.restarts == 1; },
+      [](const TableRun& run) {
+        const auto& ev = run.events;
+        size_t after_restart = 0;
+        bool restarted = false;
+        graph::NodeId holder = kTableSink;
+        for (const WalkerEvent& e : ev) {
+          if (e.kind == net::HistoryEventKind::kSend) {
+            if (e.from != holder) {
+              EXPECT_EQ(e.from, kTableSink);
+              restarted = true;
+            }
+            if (restarted) ++after_restart;
+          }
+          if (e.kind == net::HistoryEventKind::kDeliver) holder = e.to;
+        }
+        EXPECT_TRUE(restarted);
+        EXPECT_GE(after_restart, 12u + 1u) << "no fresh burn-in";
+        EXPECT_EQ(run.outcome.visits.size(), 1u);
+      }});
+  // With one restart allowed, a second lost token retires the walker.
+  TableWorld exhausting_wheel = crashing_wheel;
+  exhausting_wheel.faults.scheduled_crashes = {
+      {9, 1}, {9, 2}, {21, 3}, {21, 4}, {33, 5}};
+  exhausting_wheel.burn_in = 40;
+  exhausting_wheel.max_restarts = 1;
+  rows.push_back(TableRow{
+      "restart_budget_exhausted", exhausting_wheel,
+      [](const TableRun& run) {
+        return run.outcome.truncated && run.outcome.stats.restarts == 1 &&
+               run.outcome.truncation.message() ==
+                   "walker restart budget exhausted";
+      },
+      [](const TableRun& run) { EXPECT_TRUE(run.outcome.visits.empty()); }});
+  // The hop budget retires the walker mid burn-in: exactly max_hops hops.
+  TableWorld short_budget;
+  short_budget.graph = Wheel;
+  short_budget.burn_in = 20;
+  short_budget.max_hops = 10;
+  rows.push_back(TableRow{
+      "hop_budget_exhausted", short_budget,
+      [](const TableRun& run) { return run.outcome.truncated; },
+      [](const TableRun& run) {
+        EXPECT_EQ(run.outcome.truncation.code(),
+                  util::StatusCode::kOutOfRange);
+        EXPECT_EQ(run.outcome.stats.hops, 10u);
+        size_t sends = 0;
+        for (const WalkerEvent& e : run.events) {
+          if (e.kind == net::HistoryEventKind::kSend) ++sends;
+        }
+        EXPECT_EQ(sends, 10u);
+        EXPECT_TRUE(run.outcome.visits.empty());
+      }});
+  return rows;
+}
+
+class WalkerDecisionTableTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(WalkerDecisionTableTest, SyncWalkAndAsyncSessionTakeTheSameAction) {
+  const TableRow row = DecisionTable()[GetParam()];
+  bool reached = false;
+  for (uint64_t seed = 1; seed <= 200 && !reached; ++seed) {
+    const TableRun sync = RunSyncWalk(row.world, seed);
+    if (!row.reached(sync)) continue;
+    reached = true;
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const TableRun async = RunAsyncWalk(row.world, seed);
+    EXPECT_EQ(sync.events, async.events)
+        << "the executors' walker histories diverge";
+    const Replay replay = ReplayHistory(sync.events);
+    EXPECT_EQ(replay.skips, sync.outcome.stats.straggler_skips);
+    EXPECT_EQ(replay.restarts, sync.outcome.stats.restarts);
+    const Replay async_replay = ReplayHistory(async.events);
+    EXPECT_EQ(async_replay.skips, replay.skips);
+    EXPECT_EQ(async_replay.restarts, replay.restarts);
+    row.expect(sync);
+  }
+  EXPECT_TRUE(reached) << "no seed reached the row's situation";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, WalkerDecisionTableTest,
+    ::testing::Range<size_t>(0, DecisionTable().size()),
+    [](const ::testing::TestParamInfo<size_t>& info) {
+      return std::string(DecisionTable()[info.param].name);
+    });
 
 }  // namespace
 }  // namespace p2paqp

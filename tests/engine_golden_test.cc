@@ -229,19 +229,24 @@ TEST(EngineGoldenTest, SyncEngineMatchesPinnedDigests) {
   const char* op_names[] = {"count", "sum", "avg",
                             "median", "quantile", "distinct"};
   const char* regime_names[] = {"clean", "lossy", "adversarial", "straggler"};
+  // The straggler column pins sampling::WalkerKernel's semantics: a tardy
+  // hop sends the token, selects a selection-due peer in absentia and
+  // forks, the budget adapts to the walk's own hop-transit EWMA, the
+  // breaker needs an untripped alternative, and walker hops feed the
+  // health board (DESIGN.md, "Straggler semantics").
   const uint64_t golden[6][4] = {
       {0xc80774f322b64f66ull, 0x52be8b0f2979bda0ull, 0xde27da86ad6161d1ull,
-       0xb1ce25d57c66ab7full},
+       0xddc34fba2b396758ull},
       {0x80d95f1f0090cc2aull, 0x65b4a275437f1ad7ull, 0xe3cf20e435d96897ull,
-       0xd5429985539495a0ull},
+       0xd63595270f95a59aull},
       {0xc18dbed89c4da04cull, 0x0a91fde7d638048eull, 0x9d2337dd99ca3a1cull,
-       0x6bfc607d35438aa3ull},
+       0x4f03ee31c8c3c979ull},
       {0x3c5010f2cafa4556ull, 0xa629a1ed63bc04dbull, 0x14fc80b3f524266eull,
-       0xb0d6f875410fe8a4ull},
+       0x89d17cf4b8c213daull},
       {0xf96bc08fa0296112ull, 0x730f523dacb4f06aull, 0xb431a1f11b29e800ull,
-       0x5badcfba1699b47aull},
+       0x4d37f41f30a61f36ull},
       {0xfebb5da951a2e3e1ull, 0xaec197d364bfb1b8ull, 0x730a7bfb71944e38ull,
-       0xffc3b5a20bfd6043ull},
+       0xd6cacd73eb300207ull},
   };
   for (size_t o = 0; o < 6; ++o) {
     for (size_t r = 0; r < 4; ++r) {

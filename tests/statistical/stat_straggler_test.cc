@@ -16,6 +16,7 @@
 #include "statistical_test_util.h"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -167,19 +168,43 @@ StragglerRun RunStragglerReplicates(const net::FaultPlan& fault,
   return run;
 }
 
+// Replicates behind the synchronous engine's bias checks in full mode: at
+// the suite's cutoff a mean z-test over n replicates catches a bias of
+// (z_alpha + z_0.9) / sqrt(n) standard deviations with 90% power, so 768
+// replicates see 0.25 SD (n >= ((5.54 + 1.28) / 0.25)^2 = 744).
+constexpr size_t kSyncBiasReplicates = 768;
+
+// Prints the smallest mean bias `errors` can detect with 90% power, beyond
+// the guard band `tolerance`, in per-replicate standard deviations and in
+// estimate units (docs/TESTING.md lists these), next to the observed mean.
+void PrintDetectableBias(const char* check, const util::RunningStat& errors,
+                         double tolerance) {
+  const double z = verify::SigmaForAlpha(verify::DefaultAlpha()) + 1.2816;
+  const double sd_units = z / std::sqrt(static_cast<double>(errors.count()));
+  std::printf(
+      "[ MDE      ] %s: n=%zu, 90%% power against a mean bias of %.3f SD "
+      "(%.1f in estimate units, guard band %.1f); observed mean error "
+      "%.3f SD\n",
+      check, errors.count(), sd_units,
+      tolerance + sd_units * errors.stddev(), tolerance,
+      errors.mean() / errors.stddev());
+}
+
 // --- Unbiasedness under iid tails (the tentpole's 5.5-sigma claim) ----------
 
 // The full resilience stack under a peer-iid Pareto tail: every fork and
 // hedge decision is identity-blind, so the estimator must stay unbiased —
 // no guard band, the plain z-test at the suite's alpha.
 TEST(StatStragglerTest, ParetoTailFullStackUnbiased) {
-  auto run = RunStragglerReplicates(ParetoTailPlan(), FullResilience(),
-                                    EngineKind::kSync, /*deadline_ms=*/0.0,
-                                    verify::Replicates(16, 64), 0x57a1);
+  auto run = RunStragglerReplicates(
+      ParetoTailPlan(), FullResilience(), EngineKind::kSync,
+      /*deadline_ms=*/0.0, verify::Replicates(16, kSyncBiasReplicates),
+      0x57a1);
   ASSERT_GT(run.acc.total(), 0u);
   EXPECT_EQ(run.failures, 0u);
   EXPECT_STAT_PASS(
       verify::MeanZTest(run.acc.errors(), 0.0, verify::DefaultAlpha()));
+  PrintDetectableBias("ParetoTailFullStackUnbiased", run.acc.errors(), 0.0);
   // The stack visibly engaged — otherwise this proves nothing about it.
   // (Hedges stay at zero here by design: under an iid tail no peer is
   // *predictably* tardy, and the hedge trigger keys on the per-peer
@@ -215,14 +240,17 @@ TEST(StatStragglerTest, SlowCoalitionBiasBounded) {
   query.op = query::AggregateOp::kCount;
   query.predicate = query::RangePredicate{1, 40};
   const double truth = testing::EngineTruth(world, query);
-  auto run = RunStragglerReplicates(CoalitionPlan(0.10), FullResilience(),
-                                    EngineKind::kSync, /*deadline_ms=*/0.0,
-                                    verify::Replicates(16, 64), 0x57a3);
+  auto run = RunStragglerReplicates(
+      CoalitionPlan(0.10), FullResilience(), EngineKind::kSync,
+      /*deadline_ms=*/0.0, verify::Replicates(16, kSyncBiasReplicates),
+      0x57a3);
   ASSERT_GT(run.acc.total(), 0u);
   EXPECT_EQ(run.failures, 0u);
   EXPECT_STAT_PASS(verify::MeanZTest(run.acc.errors(), 0.0,
                                      verify::DefaultAlpha(),
                                      /*bias_tolerance=*/0.10 * truth));
+  PrintDetectableBias("SlowCoalitionBiasBounded", run.acc.errors(),
+                      0.10 * truth);
   EXPECT_LT(run.normalized_errors.mean(), 0.10);
   // Coalition members are predictably tardy, so both interventions fire.
   EXPECT_GT(run.skips, 0u);
